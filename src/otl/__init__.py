@@ -28,7 +28,7 @@ from .market import (
     price_process,
     sample_path,
 )
-from .mdp import DecisionProblem, QTable, StageState, solve_q
+from .mdp import DecisionProblem, QTable, solve_q
 from .policies import (
     AverageDown,
     BellmanOptimal,
@@ -73,7 +73,6 @@ __all__ = [
     "SHORT",
     "SimConfig",
     "SimResult",
-    "StageState",
     "Static",
     "Stats",
     "UnreachableStateError",

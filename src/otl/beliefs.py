@@ -13,7 +13,8 @@ Beliefs are immutable values; ``update`` returns a new belief.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .actions import Action, Move
 from .errors import ValidationError
@@ -75,7 +76,7 @@ class Mirror(Belief):
     def update(self, observed: Move) -> "Mirror":
         if observed is self.favored:
             return self
-        return replace(self, favored=observed)
+        return Mirror(self.confidence, observed)
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,11 @@ class BetaBernoulli(Belief):
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            name = "beta" if 0 < self.alpha < math.inf else "alpha"
             raise ValidationError(
-                f"BetaBernoulli needs alpha, beta > 0, got ({self.alpha}, {self.beta})"
+                f"BetaBernoulli {name} must be finite and > 0,"
+                f" got ({self.alpha}, {self.beta})"
             )
 
     def predictive(self) -> float:
@@ -96,8 +99,8 @@ class BetaBernoulli(Belief):
 
     def update(self, observed: Move) -> "BetaBernoulli":
         if observed is Move.UP:
-            return replace(self, alpha=self.alpha + 1)
-        return replace(self, beta=self.beta + 1)
+            return BetaBernoulli(self.alpha + 1, self.beta)
+        return BetaBernoulli(self.alpha, self.beta + 1)
 
 
 def expected_step_reward(belief: Belief, action: Action, ticks: tuple[float, float]) -> float:

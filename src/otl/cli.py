@@ -78,21 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_qtable_csv(table, path: str) -> None:
-    problem = table.problem
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QTABLE_CSV_COLUMNS)
-        for t in range(problem.horizon):
-            beliefs = sorted(table.reachable_beliefs(t), key=belief_id)
-            for b in beliefs:
-                best = table.optimal_action(t, b)
-                for a in problem.action_set:
-                    writer.writerow(
-                        [t, belief_id(b), str(a), _num(table.q(t, b, a)), int(a == best)]
-                    )
-
-
 def _write_paths_csv(result: SimResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -153,16 +138,36 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
     table = solve_q(cfg.problem())
-    problem = table.problem
-    for t in range(problem.horizon):
-        for b in sorted(table.reachable_beliefs(t), key=belief_id):
-            best = table.optimal_action(t, b)
-            for a in problem.action_set:
-                print(f"t={t}, belief={belief_id(b)}, {a}, {_num(table.q(t, b, a))}")
-            print(f"t={t}, belief={belief_id(b)} -> {best}")
     if args.out:
-        _write_qtable_csv(table, args.out)
+        with open(args.out, "w", newline="") as fh:
+            _export_qtable(table, csv.writer(fh))
+    else:
+        _export_qtable(table, None)
     return EXIT_OK
+
+
+def _export_qtable(table, writer) -> None:
+    """Print the Q-table and, given a csv writer, write it as CSV too, in
+    one pass over the lattice layers: per t, beliefs in belief_id order,
+    one line per action, then the stage's argmax line."""
+    names = [str(a) for a in table.problem.action_set]
+    if writer is not None:
+        writer.writerow(QTABLE_CSV_COLUMNS)
+    for t in range(table.problem.horizon):
+        ids = [belief_id(b) for b in table.layers[t]]
+        qs = table.qs[t].tolist()
+        best = table.best[t].tolist()
+        lines = []
+        csv_rows = []
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
+            prefix = f"t={t}, belief={ids[i]}"
+            for j, (name, q) in enumerate(zip(names, map(_num, qs[i]))):
+                lines.append(f"{prefix}, {name}, {q}\n")
+                csv_rows.append([t, ids[i], name, q, int(j == best[i])])
+            lines.append(f"{prefix} -> {names[best[i]]}\n")
+        sys.stdout.write("".join(lines))
+        if writer is not None:
+            writer.writerows(csv_rows)
 
 
 def _parse_policy_name(name: str) -> PolicySpec:

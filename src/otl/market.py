@@ -9,6 +9,7 @@ becomes $990.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ class MarketModel:
     initial_wealth: float = 1000.0
 
     def __post_init__(self) -> None:
+        for name in ("u", "d", "initial_wealth"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"MarketModel {name} must be finite, got {value}")
         if not self.u > 0 > self.d:
             raise ValidationError(f"ticks must satisfy u > 0 > d, got ({self.u}, {self.d})")
         if not 0.0 <= self.p_up <= 1.0:

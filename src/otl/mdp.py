@@ -8,7 +8,11 @@ Wealth is tracked by the simulator purely for reporting.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .actions import LONG, NEUTRAL, SHORT, Action, Move
 from .beliefs import Belief
@@ -24,7 +28,7 @@ MAX_STAGE_STATES = 1_000_000
 class DecisionProblem:
     """Everything needed to solve for a Q-table.
 
-    ticks are absolute money amounts per step, (u, d) with u > 0 > d.
+    ticks are absolute money amounts per step, (u, d), finite with u > 0 > d.
     action_set order is the argmax tie-break order; the shipped default
     (neutral, long, short) stays out when indifferent.
     per_step_discount multiplies the step reward by discount**t.
@@ -41,6 +45,8 @@ class DecisionProblem:
         if self.horizon < 0:
             raise ValidationError(f"horizon must be >= 0, got {self.horizon}")
         u, d = self.ticks
+        if not (math.isfinite(u) and math.isfinite(d)):
+            raise ValidationError(f"DecisionProblem ticks must be finite, got ({u}, {d})")
         if not u > 0 > d:
             raise ValidationError(f"ticks must satisfy u > 0 > d, got ({u}, {d})")
         actions = tuple(self.action_set)
@@ -55,63 +61,120 @@ class DecisionProblem:
             )
 
 
-@dataclass(frozen=True)
-class StageState:
-    """A decision time paired with the belief held at that time."""
-
-    t: int
-    belief: Belief
-
-
 def step_reward(action: Action, move: Move, ticks: tuple[float, float]) -> float:
     """Realized profit of holding `action` through one `move`."""
     tick = ticks[0] if move is Move.UP else ticks[1]
     return action.direction.sign * action.size * tick
 
 
-@dataclass
-class QTable:
-    """Solved subjective Q-values over every reachable stage state.
+class _TableView(Mapping):
+    """A read-only mapping over a QTable: `get(*key)` looks a key up, and
+    `keys()` iterates the keys."""
 
-    Immutable once built; safe to query concurrently.
+    def __init__(self, get: Callable[..., float], keys: Callable[[], Iterator], size: int):
+        self._get, self._keys, self._size = get, keys, size
+
+    def __getitem__(self, key: tuple) -> float:
+        try:
+            return self._get(*key)
+        except UnreachableStateError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator:
+        return self._keys()
+
+    def __len__(self) -> int:
+        return self._size
+
+
+@dataclass(eq=False)
+class QTable:
+    """Solved subjective Q-values over every reachable stage state, stored
+    per decision time t (one lattice layer per t, T = problem.horizon):
+
+    * ``layers[t]``: the beliefs reachable at t, in forward-closure order;
+    * ``rows[t]``: ``{belief: row}``, the belief's index in ``layers[t]``;
+    * ``qs[t]``: float64 ``(n_t, |A|)`` Q-values, columns in action_set
+      order (t < T);
+    * ``vs[t]``: float64 ``(n_t,)`` values, all zero at t = T;
+    * ``best[t]``: the argmax column of each row, the first maximum (t < T).
+
+    Immutable once built (the arrays are read-only); safe to query
+    concurrently.
     """
 
     problem: DecisionProblem
-    entries: dict[tuple[int, Belief, Action], float] = field(repr=False)
-    values: dict[tuple[int, Belief], float] = field(repr=False)
+    layers: list[list[Belief]] = field(repr=False)
+    rows: list[dict[Belief, int]] = field(repr=False)
+    qs: list[np.ndarray] = field(repr=False)
+    vs: list[np.ndarray] = field(repr=False)
+    best: list[np.ndarray] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        self._columns = {a: j for j, a in enumerate(self.problem.action_set)}
+        for arr in (*self.qs, *self.vs, *self.best):
+            arr.flags.writeable = False
+
+    @property
+    def values(self) -> Mapping[tuple[int, Belief], float]:
+        """``{(t, belief): value}``, latest t first."""
+        layers = self.layers
+        return _TableView(
+            self.value,
+            lambda: ((t, b) for t in range(len(layers) - 1, -1, -1) for b in layers[t]),
+            sum(map(len, layers)),
+        )
+
+    @property
+    def entries(self) -> Mapping[tuple[int, Belief, Action], float]:
+        """``{(t, belief, action): Q}`` for t < horizon, latest t first."""
+        T, layers, actions = len(self.qs), self.layers, self.problem.action_set
+        return _TableView(
+            self.q,
+            lambda: (
+                (t, b, a) for t in range(T - 1, -1, -1) for b in layers[t] for a in actions
+            ),
+            sum(map(len, layers[:T])) * len(actions),
+        )
+
+    def _row(self, t: int, belief: Belief) -> int | None:
+        if t < 0 or t >= len(self.rows):
+            return None
+        return self.rows[t].get(belief)
 
     def reachable_beliefs(self, t: int) -> list[Belief]:
-        return [b for (tt, b) in self.values if tt == t]
+        if t < 0 or t >= len(self.layers):
+            return []
+        return list(self.layers[t])
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
-        try:
-            return self.entries[(t, belief, action)]
-        except KeyError:
+        col = self._columns.get(action)
+        row = self._row(t, belief) if t < len(self.qs) else None
+        if row is None or col is None:
             raise UnreachableStateError(
                 f"no Q entry for t={t}, belief={belief}, action={action}"
-            ) from None
+            )
+        return float(self.qs[t][row, col])
 
     def value(self, t: int, belief: Belief) -> float:
-        try:
-            return self.values[(t, belief)]
-        except KeyError:
+        row = self._row(t, belief)
+        if row is None:
             raise UnreachableStateError(
                 f"stage state (t={t}, belief={belief}) was never reached"
-            ) from None
+            )
+        return float(self.vs[t][row])
 
     def optimal_action(self, t: int, belief: Belief) -> Action:
         """Argmax of Q at the stage state; ties go to the earliest action
         in the problem's action_set order."""
         if t >= self.problem.horizon:
             raise UnreachableStateError(f"t={t} is at or past the horizon")
-        best = None
-        best_q = None
-        for a in self.problem.action_set:
-            q = self.q(t, belief, a)
-            if best_q is None or q > best_q:
-                best, best_q = a, q
-        assert best is not None
-        return best
+        row = self._row(t, belief)
+        if row is None:
+            raise UnreachableStateError(
+                f"stage state (t={t}, belief={belief}) was never reached"
+            )
+        return self.problem.action_set[self.best[t][row]]
 
 
 def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTable:
@@ -120,43 +183,62 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     Reachable beliefs at each t are the forward closure of the initial belief
     under per-move updating; the belief transition is independent of the
     action (the market is exogenous), so the continuation value after a move
-    is shared by every action.
+    is shared by every action. The closure records each state's up and down
+    child rows, and the backward pass is then one broadcast over
+    (states x actions) per layer, in the float expression order of the
+    scalar recursion, so every Q-value is bit-identical to it.
     """
     T = problem.horizon
-    layers: list[list[Belief]] = [[problem.initial_belief]]
+    rows: list[dict[Belief, int]] = [{problem.initial_belief: 0}]
+    up_rows: list[np.ndarray] = []
+    dn_rows: list[np.ndarray] = []
     n_states = 1
     for _ in range(T):
-        nxt: dict[Belief, None] = {}
-        for b in layers[-1]:
-            for m in Move:
-                nxt.setdefault(b.update(m))
-        layers.append(list(nxt))
+        nxt: dict[Belief, int] = {}
+        ups: list[int] = []
+        dns: list[int] = []
+        for b in rows[-1]:
+            ups.append(nxt.setdefault(b.update(Move.UP), len(nxt)))
+            dns.append(nxt.setdefault(b.update(Move.DOWN), len(nxt)))
+        rows.append(nxt)
+        up_rows.append(np.array(ups, dtype=np.intp))
+        dn_rows.append(np.array(dns, dtype=np.intp))
         n_states += len(nxt)
         if n_states > max_states:
             raise ResourceLimitError(
                 f"belief lattice exceeds {max_states} stage states at horizon {T}"
             )
+    layers = [list(layer) for layer in rows]
 
     u, d = problem.ticks
-    entries: dict[tuple[int, Belief, Action], float] = {}
-    values: dict[tuple[int, Belief], float] = {(T, b): 0.0 for b in layers[T]}
-
-    for t in range(T - 1, -1, -1):
-        disc = problem.per_step_discount**t
-        for b in layers[t]:
-            q_up = b.predictive()
-            b_up = b.update(Move.UP)
-            b_dn = b.update(Move.DOWN)
-            v_up = values[(t + 1, b_up)]
-            v_dn = values[(t + 1, b_dn)]
-            best = None
-            for a in problem.action_set:
-                sign = a.direction.sign
-                r_up = disc * sign * a.size * u
-                r_dn = disc * sign * a.size * d
-                q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
-                entries[(t, b, a)] = q
-                if best is None or q > best:
-                    best = q
-            values[(t, b)] = best
-    return QTable(problem=problem, entries=entries, values=values)
+    actions = problem.action_set
+    v = np.zeros(len(layers[T]))
+    qs: list[np.ndarray] = []
+    best: list[np.ndarray] = []
+    vs = [v]
+    # overflow is caught below, as a non-finite Q, and reported as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1, -1, -1):
+            disc = problem.per_step_discount**t
+            r_up = np.array([disc * a.direction.sign * a.size * u for a in actions])
+            r_dn = np.array([disc * a.direction.sign * a.size * d for a in actions])
+            q_up = np.array([b.predictive() for b in layers[t]])[:, None]
+            v_up = v[up_rows[t]][:, None]
+            v_dn = v[dn_rows[t]][:, None]
+            q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
+            if not np.isfinite(q).all():
+                raise ValidationError(
+                    f"Q-values overflow at t={t}: ticks {problem.ticks} are too large"
+                    f" for horizon {T}"
+                )
+            arg = q.argmax(axis=1)
+            # Q at the first maximum, not q.max(): the same tie-break as a
+            # strict `>` scan, and it keeps the sign of a zero exactly
+            v = q[np.arange(len(arg)), arg]
+            qs.append(q)
+            best.append(arg)
+            vs.append(v)
+    qs.reverse()
+    best.reverse()
+    vs.reverse()
+    return QTable(problem=problem, layers=layers, rows=rows, qs=qs, vs=vs, best=best)

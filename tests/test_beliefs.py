@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,12 @@ class TestUpdate:
     def test_beta_counts_the_up_move(self):
         assert BetaBernoulli(6, 4).update(Move.UP) == BetaBernoulli(7, 4)
 
+    def test_updates_keep_the_kind_and_validate(self):
+        assert type(BetaBernoulli(1, 1).update(Move.UP)) is BetaBernoulli
+        assert type(Mirror(0.6, Move.UP).update(Move.DOWN)) is Mirror
+        with pytest.raises(ValidationError):
+            BetaBernoulli(math.inf, 1).update(Move.UP)
+
     def test_mirror_snaps_to_observed(self):
         assert Mirror(0.6, Move.UP).update(Move.DOWN) == Mirror(0.6, Move.DOWN)
         assert Mirror(0.6, Move.DOWN).update(Move.DOWN) == Mirror(0.6, Move.DOWN)
@@ -86,6 +94,13 @@ class TestInvariants:
             BetaBernoulli(0, 1)
         with pytest.raises(ValidationError):
             BetaBernoulli(1, -2)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_beta_rejects_non_finite_counts(self, bad):
+        with pytest.raises(ValidationError, match="alpha"):
+            BetaBernoulli(bad, 1)
+        with pytest.raises(ValidationError, match="beta"):
+            BetaBernoulli(1, bad)
 
     @given(st.floats(0.001, 0.999))
     def test_static_predictive_in_open_interval(self, q):

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
+from otl.mdp import solve_q
 
 BASE_CONFIG = """\
 # desk defaults
@@ -114,6 +116,52 @@ class TestSolveCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense.key = 1\n")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("market.u = inf\n", "MarketModel u must be finite"),
+            ("belief.kind = beta\nbelief.alpha = inf\n", "BetaBernoulli alpha must be finite"),
+        ],
+    )
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "inf.cfg"
+        path.write_text(text)
+        out_csv = tmp_path / "q.csv"
+        code = main(["solve", "--config", str(path), "--out", str(out_csv)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out_csv.exists()
+
+    def test_export_matches_table_queries(self, tmp_path, capsys):
+        path = tmp_path / "beta.cfg"
+        path.write_text(
+            "problem.horizon = 8\nbelief.kind = beta\nbelief.alpha = 3\nbelief.beta = 2\n"
+        )
+        out_csv = tmp_path / "q.csv"
+        assert main(["solve", "--config", str(path), "--out", str(out_csv)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+
+        table = solve_q(load_config(str(path)).problem())
+        expected_rows = []
+        expected_best = []
+        for t in range(8):
+            for b in sorted(table.reachable_beliefs(t), key=belief_id):
+                best = table.optimal_action(t, b)
+                for a in table.problem.action_set:
+                    q = repr(table.q(t, b, a))
+                    expected_rows.append([str(t), belief_id(b), str(a), q, str(int(a == best))])
+                expected_best.append(f"t={t}, belief={belief_id(b)} -> {best}")
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "belief_id", "action", "q_value", "is_optimal"]
+        assert rows[1:] == expected_rows
+
+        best_lines = [line for line in stdout.splitlines() if " -> " in line]
+        assert best_lines == expected_best
+        assert len(best_lines) == sum(len(table.reachable_beliefs(t)) for t in range(8))
 
 
 class TestSimulateCommand:

@@ -175,3 +175,10 @@ class TestModelValidation:
     def test_probability_range(self):
         with pytest.raises(ValidationError):
             MarketModel(u=1.0, d=-1.0, p_up=1.2)
+
+    @pytest.mark.parametrize("name", ["u", "d", "initial_wealth"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, name, bad):
+        fields = {"u": 1.0, "d": -1.0, "p_up": 0.5, "initial_wealth": 1000.0, name: bad}
+        with pytest.raises(ValidationError, match=f"MarketModel {name} must be finite"):
+            MarketModel(**fields)

@@ -1,12 +1,16 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otl import (
     LONG,
     NEUTRAL,
     SHORT,
+    Action,
     BetaBernoulli,
     DecisionProblem,
+    Direction,
     Mirror,
     Move,
     ResourceLimitError,
@@ -15,7 +19,7 @@ from otl import (
     ValidationError,
     solve_q,
 )
-from otl.verify import enumeration_q
+from otl.verify import _belief_grid, enumeration_q
 
 TICKS = (10.0, -10.0)
 
@@ -112,6 +116,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             problem(1, Static(0.6), action_set=(LONG, LONG))
 
+    @pytest.mark.parametrize(
+        "ticks", [(math.inf, -10.0), (10.0, -math.inf), (math.nan, -10.0)]
+    )
+    def test_non_finite_ticks(self, ticks):
+        with pytest.raises(ValidationError, match="ticks must be finite"):
+            problem(1, Static(0.6), ticks=ticks)
+
+    def test_overflowing_q_values_rejected(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            solve_q(problem(3, Static(0.6), ticks=(1.7e308, -1.7e308)))
+
     def test_state_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
             solve_q(problem(100, BetaBernoulli(1, 1)), max_states=50)
@@ -177,3 +192,155 @@ class TestInvariants:
         t2 = solve_q(problem(2, b, per_step_discount=0.5))
         # 2 + 0.5 * 2 for static long-long
         assert t2.q(0, b, LONG) == pytest.approx(3.0)
+
+
+def scalar_solve_q(problem):
+    """The scalar dict-loop form of the recursion, the oracle of the array
+    solver: returns ({(t, b, a): Q}, {(t, b): value})."""
+    T = problem.horizon
+    layers = [[problem.initial_belief]]
+    for _ in range(T):
+        nxt = {}
+        for b in layers[-1]:
+            for m in Move:
+                nxt.setdefault(b.update(m))
+        layers.append(list(nxt))
+
+    u, d = problem.ticks
+    entries = {}
+    values = {(T, b): 0.0 for b in layers[T]}
+    for t in range(T - 1, -1, -1):
+        disc = problem.per_step_discount**t
+        for b in layers[t]:
+            q_up = b.predictive()
+            v_up = values[(t + 1, b.update(Move.UP))]
+            v_dn = values[(t + 1, b.update(Move.DOWN))]
+            best = None
+            for a in problem.action_set:
+                sign = a.direction.sign
+                r_up = disc * sign * a.size * u
+                r_dn = disc * sign * a.size * d
+                q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
+                entries[(t, b, a)] = q
+                if best is None or q > best:
+                    best = q
+            values[(t, b)] = best
+    return entries, values
+
+
+def scalar_optimal_action(problem, entries, t, b):
+    best = best_q = None
+    for a in problem.action_set:
+        q = entries[(t, b, a)]
+        if best_q is None or q > best_q:
+            best, best_q = a, q
+    return best
+
+
+def assert_bit_identical(prob):
+    entries, values = scalar_solve_q(prob)
+    table = solve_q(prob)
+    assert list(table.values) == list(values)
+    assert list(table.entries) == list(entries)
+    for (t, b), v in values.items():
+        assert repr(table.value(t, b)) == repr(v)
+        assert repr(table.values[(t, b)]) == repr(v)
+    for (t, b, a), q in entries.items():
+        assert repr(table.q(t, b, a)) == repr(q)
+        assert repr(table.entries[(t, b, a)]) == repr(q)
+    for t in range(prob.horizon):
+        for b in table.reachable_beliefs(t):
+            assert table.optimal_action(t, b) == scalar_optimal_action(prob, entries, t, b)
+
+
+ACTION_POOL = [
+    NEUTRAL,
+    LONG,
+    SHORT,
+    Action(Direction.LONG, 2),
+    Action(Direction.SHORT, 3),
+    Action(Direction.LONG, 4),
+]
+
+any_belief = st.one_of(
+    st.builds(Static, st.floats(0.01, 0.99)),
+    st.builds(Mirror, st.floats(0.5, 0.99), st.sampled_from(list(Move))),
+    st.builds(BetaBernoulli, st.floats(0.1, 50.0), st.floats(0.1, 50.0)),
+    st.builds(BetaBernoulli, st.integers(1, 20), st.integers(1, 20)),
+)
+
+
+class TestBitIdentityWithScalarSolver:
+    @pytest.mark.parametrize("name,belief", _belief_grid(), ids=lambda x: str(x))
+    @pytest.mark.parametrize("T", range(9))
+    def test_check_bellman_grid(self, name, belief, T):
+        assert_bit_identical(problem(T, belief))
+
+    @given(
+        belief=any_belief,
+        T=st.integers(0, 12),
+        discount=st.floats(0.0, 1.0, exclude_min=True),
+        actions=st.lists(st.sampled_from(ACTION_POOL), min_size=1, unique=True),
+        ticks=st.tuples(st.floats(0.1, 100.0), st.floats(-100.0, -0.1)),
+    )
+    @example(Static(0.5), 3, 1.0, [SHORT, NEUTRAL, LONG], TICKS)  # ties, signed zeros
+    @example(Static(0.5), 3, 1.0, [LONG, SHORT], TICKS)
+    @example(Mirror(0.5, Move.DOWN), 4, 0.5, [NEUTRAL, SHORT, LONG], TICKS)
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_sweep(self, belief, T, discount, actions, ticks):
+        prob = problem(
+            T, belief, ticks=ticks, action_set=tuple(actions), per_step_discount=discount
+        )
+        assert_bit_identical(prob)
+
+
+class TestTableLayout:
+    def test_layers_rows_and_arrays(self):
+        b = BetaBernoulli(3, 2)
+        table = solve_q(problem(4, b))
+        assert [len(layer) for layer in table.layers] == [1, 2, 3, 4, 5]
+        for t, layer in enumerate(table.layers):
+            assert table.rows[t] == {belief: i for i, belief in enumerate(layer)}
+            assert table.vs[t].shape == (len(layer),)
+            if t < 4:
+                assert table.qs[t].shape == (len(layer), 3)
+                assert table.best[t].shape == (len(layer),)
+        assert len(table.qs) == len(table.best) == 4
+        assert not table.vs[4].any()
+        with pytest.raises(ValueError):
+            table.qs[0][0, 0] = 1.0
+
+    def test_queries_return_python_floats(self):
+        b = BetaBernoulli(3, 2)
+        table = solve_q(problem(3, b))
+        assert type(table.q(0, b, LONG)) is float
+        assert type(table.value(0, b)) is float
+        assert type(table.values[(0, b)]) is float
+        assert type(table.entries[(0, b, LONG)]) is float
+
+    def test_views_are_read_only_mappings(self):
+        b = Static(0.6)
+        table = solve_q(problem(2, b))
+        assert len(table.values) == 3
+        assert len(table.entries) == 6
+        assert (0, b) in table.values
+        assert (2, b, LONG) not in table.entries
+        assert table.values.get((0, Static(0.7))) is None
+        assert table.entries.get((0, b, Action(Direction.LONG, 2))) is None
+        assert table.values.get((-1, b)) is None
+        with pytest.raises(TypeError):
+            table.values[(0, b)] = 1.0
+
+    def test_negative_t_is_unreachable(self):
+        b = Static(0.6)
+        table = solve_q(problem(2, b))
+        with pytest.raises(UnreachableStateError):
+            table.value(-1, b)
+        with pytest.raises(UnreachableStateError):
+            table.q(-1, b, LONG)
+        with pytest.raises(UnreachableStateError):
+            table.optimal_action(-1, b)
+        with pytest.raises(UnreachableStateError):
+            table.q(0, b, Action(Direction.SHORT, 2))
+        assert table.reachable_beliefs(-1) == []
+        assert table.reachable_beliefs(3) == []
