@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -40,6 +41,9 @@ class Action:
 
     Neutral is always size 1: size carries no meaning while flat, so it is
     normalized away to keep Action values canonical (and hashable as keys).
+    ``stake`` is the signed multiplier ``direction.sign * size``: holding the
+    action through a tick earns ``stake * tick``. It is derived, not a field,
+    so it takes no part in equality, hashing or repr.
     """
 
     direction: Direction
@@ -50,11 +54,22 @@ class Action:
             raise ValidationError(f"action size must be >= 1, got {self.size}")
         if self.direction is Direction.NEUTRAL and self.size != 1:
             object.__setattr__(self, "size", 1)
+        object.__setattr__(self, "stake", self.direction.sign * self.size)
 
     def __str__(self) -> str:
         if self.size == 1:
             return self.direction.value
         return f"{self.direction.value}x{self.size}"
+
+
+def check_ticks(u: float, d: float, owner: str) -> None:
+    """Raise unless (u, d) are finite ticks with u > 0 > d; `owner` names
+    the ticks in the message, e.g. "MarketModel" or "DecisionProblem ticks"."""
+    for name, tick in (("u", u), ("d", d)):
+        if not math.isfinite(tick):
+            raise ValidationError(f"{owner} {name} must be finite, got {tick}")
+    if not u > 0 > d:
+        raise ValidationError(f"{owner} must satisfy u > 0 > d, got ({u}, {d})")
 
 
 LONG = Action(Direction.LONG)

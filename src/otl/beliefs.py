@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import Action, Move
+from .actions import Action, Move, check_ticks
 from .errors import ValidationError
 
 
@@ -106,17 +106,15 @@ class BetaBernoulli(Belief):
 def expected_step_reward(belief: Belief, action: Action, ticks: tuple[float, float]) -> float:
     """One-step expected profit of holding `action` under `belief`.
 
-    `ticks` is (u, d) with u > 0 > d; a Long of size k earns
-    k * (q*u + (1-q)*d), a Short the negation, Neutral zero.
+    `ticks` is (u, d), finite with u > 0 > d; the action earns
+    stake * (q*u + (1-q)*d), so Neutral earns zero.
     """
     u, d = ticks
-    if not u > 0 > d:
-        raise ValidationError(f"ticks must satisfy u > 0 > d, got ({u}, {d})")
-    sign = action.direction.sign
-    if sign == 0:
+    check_ticks(u, d, "expected_step_reward ticks")
+    if action.stake == 0:
         return 0.0
     q = belief.predictive()
-    return sign * action.size * (q * u + (1.0 - q) * d)
+    return action.stake * (q * u + (1.0 - q) * d)
 
 
 def belief_id(belief: Belief) -> str:

@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Exit codes: 0 success / verification pass, 1 verification failure,
-2 configuration error, 3 resource limit exceeded.
+2 configuration error or unwritable output, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 from . import verify as verify_mod
 from .beliefs import belief_id
@@ -18,7 +20,7 @@ from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .mdp import solve_q
 from .policies import POLICY_KINDS, PolicySpec, make_policy
-from .sim import ComparisonTable, SimResult, compare, run
+from .sim import SimResult, compare, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -78,23 +80,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_paths_csv(result: SimResult, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PATH_CSV_COLUMNS)
-        for wp in result.paths:
-            for rec in wp.steps:
-                writer.writerow(
-                    [
-                        wp.path_id,
-                        rec.t,
-                        rec.move.value,
-                        rec.action.direction.value,
-                        rec.action.size,
-                        _num(rec.reward),
-                        _num(rec.wealth_after),
-                    ]
-                )
+@contextlib.contextmanager
+def _outputs(*paths: Optional[str]) -> Iterator[list[Optional[IO[str]]]]:
+    """Open every given output path for writing, before any work is done,
+    so an unwritable one fails at once; yields one handle per path (None
+    for None). If the command then fails, the regular files among them are
+    removed, so a failed run leaves no output file."""
+    named = [p for p in paths if p is not None]
+    if len(set(map(os.path.realpath, named))) < len(named):
+        raise ConfigurationError(f"output paths must differ, got {named}")
+    handles: list[Optional[IO[str]]] = []
+    done = False
+    try:
+        for path in paths:
+            try:
+                handles.append(None if path is None else open(path, "w", newline=""))
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        yield handles
+        done = True
+    finally:
+        for path, fh in zip(paths, handles):
+            if fh is not None:
+                fh.close()
+                if not done and os.path.isfile(path):
+                    os.remove(path)
+
+
+def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(PATH_CSV_COLUMNS)
+    for wp in result.paths:
+        for rec in wp.steps:
+            writer.writerow(
+                [
+                    wp.path_id,
+                    rec.t,
+                    rec.move.value,
+                    rec.action.direction.value,
+                    rec.action.size,
+                    _num(rec.reward),
+                    _num(rec.wealth_after),
+                ]
+            )
 
 
 def _stats_row(name: str, stats) -> list[str]:
@@ -112,12 +140,11 @@ def _stats_row(name: str, stats) -> list[str]:
     ]
 
 
-def _write_stats_csv(rows: list[tuple[str, object]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_CSV_COLUMNS)
-        for name, stats in rows:
-            writer.writerow(_stats_row(name, stats))
+def _write_stats_csv(results: list[SimResult], fh: IO[str]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(STATS_CSV_COLUMNS)
+    for result in results:
+        writer.writerow(_stats_row(result.policy_name, result.stats))
 
 
 def _print_stats(name: str, stats) -> None:
@@ -137,12 +164,8 @@ def _cmd_solve(args) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
-    table = solve_q(cfg.problem())
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _export_qtable(table, csv.writer(fh))
-    else:
-        _export_qtable(table, None)
+    with _outputs(args.out) as (out,):
+        _export_qtable(solve_q(cfg.problem()), csv.writer(out) if out else None)
     return EXIT_OK
 
 
@@ -180,11 +203,12 @@ def _parse_policy_name(name: str) -> PolicySpec:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     spec = _parse_policy_name(args.policy)
-    policy = make_policy(spec, cfg.problem())
-    result = run(policy, cfg.market(), cfg.sim_config())
-    _write_paths_csv(result, args.out)
-    if args.stats_out:
-        _write_stats_csv([(result.policy_name, result.stats)], args.stats_out)
+    sim_cfg = cfg.sim_config()
+    with _outputs(args.out, args.stats_out) as (out, stats_out):
+        result = run(make_policy(spec, sim_cfg.problem), cfg.market(), sim_cfg)
+        _write_paths_csv(result, out)
+        if stats_out:
+            _write_stats_csv([result], stats_out)
     _print_stats(result.policy_name, result.stats)
     return EXIT_OK
 
@@ -194,12 +218,14 @@ def _cmd_compare(args) -> int:
     names = [n for n in args.policies.split(",") if n.strip()]
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
-    problem = cfg.problem()
-    policies = [make_policy(_parse_policy_name(n), problem) for n in names]
-    table: ComparisonTable = compare(policies, cfg.market(), cfg.sim_config())
-    _write_stats_csv([(row.policy_name, row.stats) for row in table.rows], args.out)
-    for row in table.rows:
-        _print_stats(row.policy_name, row.stats)
+    specs = [_parse_policy_name(n) for n in names]
+    sim_cfg = cfg.sim_config()
+    with _outputs(args.out) as (out,):
+        policies = [make_policy(spec, sim_cfg.problem) for spec in specs]
+        table = compare(policies, cfg.market(), sim_cfg)
+        _write_stats_csv(table.results, out)
+    for result in table.results:
+        _print_stats(result.policy_name, result.stats)
     for pw in table.pairwise:
         print(
             f"mean diff {pw.policy_a} - {pw.policy_b}: {pw.mean_diff:.6f}"
@@ -209,18 +235,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        reports = verify_mod.run_all()
-    else:
-        reports = [verify_mod.SUITES[args.suite]()]
-    for rep in reports:
-        print(rep.render())
-    overall = all(rep.overall for rep in reports)
-    if args.json_out:
-        doc = {"reports": [rep.to_dict() for rep in reports], "overall": overall}
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    with _outputs(args.json_out) as (json_out,):
+        if args.suite == "all":
+            reports = verify_mod.run_all()
+        else:
+            reports = [verify_mod.SUITES[args.suite]()]
+        for rep in reports:
+            print(rep.render())
+        overall = all(rep.overall for rep in reports)
+        if json_out:
+            doc = {"reports": [rep.to_dict() for rep in reports], "overall": overall}
+            json.dump(doc, json_out, indent=2)
+            json_out.write("\n")
     print(f"verify: {'PASS' if overall else 'FAIL'}")
     return EXIT_OK if overall else EXIT_VERIFY_FAIL
 

@@ -1,8 +1,8 @@
 """Flat `key = value` run configuration.
 
 The format is deliberately minimal: UTF-8 text, one assignment per line,
-`#` starts a comment, unknown keys are rejected with the offending line
-number. A dumped config reparses to an identical RunConfig.
+`#` starts a comment, unknown and repeated keys are rejected with the
+offending line number. A dumped config reparses to an identical RunConfig.
 """
 
 from __future__ import annotations
@@ -71,17 +71,11 @@ class RunConfig:
             ticks=(self.market_u, self.market_d),
             initial_belief=self.belief(),
             action_set=self.actions(),
-            initial_wealth=self.market_initial_wealth,
             per_step_discount=self.problem_discount,
         )
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            n_paths=self.sim_paths,
-            horizon=self.problem_horizon,
-            master_seed=self.sim_seed,
-            initial_belief=self.belief(),
-        )
+        return SimConfig(self.problem(), self.sim_paths, self.sim_seed)
 
 
 # config key -> (RunConfig attribute, parser)
@@ -106,6 +100,7 @@ _KEYS = {
 def parse_config(text: str) -> RunConfig:
     """Parse config text; errors carry the 1-based line number."""
     cfg = RunConfig()
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,6 +112,9 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         attr, conv = _KEYS[key]
         try:
             setattr(cfg, attr, conv(value))

@@ -10,27 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .actions import Move
+from .actions import Move, check_ticks
 from .errors import ResourceLimitError, ValidationError
-
-DEFAULT_ENUM_HORIZON = 20
-ENUM_HORIZON_ENV = "OTL_MAX_ENUM_HORIZON"
 
 
 def max_enum_horizon() -> int:
-    """Enumeration bound, overridable through OTL_MAX_ENUM_HORIZON."""
-    raw = os.environ.get(ENUM_HORIZON_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_HORIZON
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENUM_HORIZON_ENV} must be an integer, got {raw!r}")
+    """Largest horizon enumerate_paths (2^20 paths) and price_process accept."""
+    return 20
 
 
 @dataclass(frozen=True)
@@ -46,12 +36,11 @@ class MarketModel:
     initial_wealth: float = 1000.0
 
     def __post_init__(self) -> None:
-        for name in ("u", "d", "initial_wealth"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"MarketModel {name} must be finite, got {value}")
-        if not self.u > 0 > self.d:
-            raise ValidationError(f"ticks must satisfy u > 0 > d, got ({self.u}, {self.d})")
+        check_ticks(self.u, self.d, "MarketModel")
+        if not math.isfinite(self.initial_wealth):
+            raise ValidationError(
+                f"MarketModel initial_wealth must be finite, got {self.initial_wealth}"
+            )
         if not 0.0 <= self.p_up <= 1.0:
             raise ValidationError(f"p_up must be in [0,1], got {self.p_up}")
 
@@ -83,13 +72,6 @@ class DividendSpec:
     per_step_dividend: Callable[[int, object, float], float]
     terminal_payoff: Callable[[float], float]
     initial_level: float = 100.0
-
-
-def zero_dividends() -> DividendSpec:
-    return DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.0,
-        terminal_payoff=lambda level: 0.0,
-    )
 
 
 # SplitMix64: a well-mixed 64-bit permutation, used so that path i's seed is a

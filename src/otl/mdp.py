@@ -8,13 +8,12 @@ Wealth is tracked by the simulator purely for reporting.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move
+from .actions import LONG, NEUTRAL, SHORT, Action, Move, check_ticks
 from .beliefs import Belief
 from .errors import ResourceLimitError, UnreachableStateError, ValidationError
 
@@ -38,17 +37,12 @@ class DecisionProblem:
     ticks: tuple[float, float]
     initial_belief: Belief
     action_set: tuple[Action, ...] = DEFAULT_ACTIONS
-    initial_wealth: float = 1000.0
     per_step_discount: float = 1.0
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValidationError(f"horizon must be >= 0, got {self.horizon}")
-        u, d = self.ticks
-        if not (math.isfinite(u) and math.isfinite(d)):
-            raise ValidationError(f"DecisionProblem ticks must be finite, got ({u}, {d})")
-        if not u > 0 > d:
-            raise ValidationError(f"ticks must satisfy u > 0 > d, got ({u}, {d})")
+        check_ticks(*self.ticks, "DecisionProblem ticks")
         actions = tuple(self.action_set)
         if not actions:
             raise ValidationError("action_set must be non-empty")
@@ -59,12 +53,6 @@ class DecisionProblem:
             raise ValidationError(
                 f"per_step_discount must be in (0,1], got {self.per_step_discount}"
             )
-
-
-def step_reward(action: Action, move: Move, ticks: tuple[float, float]) -> float:
-    """Realized profit of holding `action` through one `move`."""
-    tick = ticks[0] if move is Move.UP else ticks[1]
-    return action.direction.sign * action.size * tick
 
 
 class _TableView(Mapping):
@@ -220,8 +208,8 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1, -1, -1):
             disc = problem.per_step_discount**t
-            r_up = np.array([disc * a.direction.sign * a.size * u for a in actions])
-            r_dn = np.array([disc * a.direction.sign * a.size * d for a in actions])
+            r_up = np.array([disc * a.stake * u for a in actions])
+            r_dn = np.array([disc * a.stake * d for a in actions])
             q_up = np.array([b.predictive() for b in layers[t]])[:, None]
             v_up = v[up_rows[t]][:, None]
             v_dn = v[dn_rows[t]][:, None]

@@ -7,12 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .actions import Action, Direction, Move
+from .actions import LONG, Action, Direction, Move
 from .beliefs import Belief
 from .errors import ConfigurationError, ValidationError
 from .mdp import DecisionProblem, QTable, solve_q
-
-DEFAULT_MAX_RUNGS = 7  # doubling ladder: 1,2,4,...,64
 
 
 @dataclass(slots=True)
@@ -28,7 +26,6 @@ class DecisionContext:
     last_move: Optional[Move]
     losing_streak: int
     current_position: Action
-    wealth: float
 
     def __post_init__(self) -> None:
         if self.losing_streak < 0:
@@ -74,23 +71,19 @@ class CutLoss(Policy):
         return self._long
 
 
+# the average-down stake ladder: long 1, 2, 4, ..., 64
+_LADDER = tuple(Action(Direction.LONG, 2**r) for r in range(7))
+_TOP_RUNG = len(_LADDER) - 1
+
+
 class AverageDown(Policy):
     """Doubles the stake on every losing step, never exits on losses, and
-    resets to one unit after a winning step. The rung cap bounds the stake
-    at 2**(max_rungs-1)."""
+    resets to one unit after a winning step. The stake is capped at 64."""
 
     name = "avgdown"
 
-    def __init__(self, max_rungs: int = DEFAULT_MAX_RUNGS):
-        if max_rungs < 1:
-            raise ConfigurationError(f"max_rungs must be >= 1, got {max_rungs}")
-        self.max_rungs = max_rungs
-
-        self._ladder = tuple(Action(Direction.LONG, 2**r) for r in range(max_rungs))
-
     def decide(self, ctx: DecisionContext) -> Action:
-        rung = min(ctx.losing_streak, self.max_rungs - 1)
-        return self._ladder[rung]
+        return _LADDER[min(ctx.losing_streak, _TOP_RUNG)]
 
 
 class BuyHold(Policy):
@@ -98,25 +91,19 @@ class BuyHold(Policy):
 
     name = "buyhold"
 
-    def __init__(self, name: str = "buyhold"):
-        self.name = name
-        self._long = Action(Direction.LONG)
-
     def decide(self, ctx: DecisionContext) -> Action:
-        return self._long
+        return LONG
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Named policy configuration; `kind` is one of bellman, cutloss,
-    avgdown, buyhold, alwayslong."""
+    """Named policy configuration; `kind` is one of POLICY_KINDS."""
 
     kind: str
     table: Optional[QTable] = None
-    max_rungs: int = DEFAULT_MAX_RUNGS
 
 
-POLICY_KINDS = ("bellman", "cutloss", "avgdown", "buyhold", "alwayslong")
+POLICY_KINDS = ("bellman", "cutloss", "avgdown", "buyhold")
 
 
 def _find_action(problem: DecisionProblem, direction: Direction) -> Action:
@@ -145,8 +132,8 @@ def make_policy(spec: PolicySpec, problem: DecisionProblem) -> Policy:
         )
     if kind == "avgdown":
         _find_action(problem, Direction.LONG)
-        return AverageDown(max_rungs=spec.max_rungs)
-    if kind in ("buyhold", "alwayslong"):
+        return AverageDown()
+    if kind == "buyhold":
         _find_action(problem, Direction.LONG)
-        return BuyHold(name=kind)
+        return BuyHold()
     raise ConfigurationError(f"unknown policy kind: {kind!r}")

@@ -13,10 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, Direction, Move, NEUTRAL
+from .actions import Action, Move, NEUTRAL
 from .beliefs import Belief
 from .errors import ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
+from .mdp import DecisionProblem
 from .policies import DecisionContext, Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -24,16 +25,18 @@ Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 @dataclass(frozen=True)
 class SimConfig:
+    """n_paths seeded paths of problem.horizon steps, each trader starting
+    from problem.initial_belief."""
+
+    problem: DecisionProblem
     n_paths: int
-    horizon: int
     master_seed: int
-    initial_belief: Belief
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        if self.problem.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.problem.horizon}")
 
 
 @dataclass(slots=True)
@@ -95,12 +98,6 @@ class SimResult:
 
 
 @dataclass
-class ComparisonRow:
-    policy_name: str
-    stats: Stats
-
-
-@dataclass
 class PairwiseDiff:
     """CI on the paired per-path terminal-wealth difference a - b."""
 
@@ -113,7 +110,6 @@ class PairwiseDiff:
 
 @dataclass
 class ComparisonTable:
-    rows: list[ComparisonRow]
     pairwise: list[PairwiseDiff]
     results: list[SimResult] = field(repr=False)
 
@@ -158,13 +154,11 @@ def replay(
     decide = policy.decide
     u, d = model.u, model.d
     up = Move.UP
-    neutral_dir = Direction.NEUTRAL
     for t, move in enumerate(moves):
-        ctx = DecisionContext(t, belief, last_move, losing_streak, position, wealth)
-        action = decide(ctx)
-        reward = action.direction.sign * action.size * (u if move is up else d)
+        action = decide(DecisionContext(t, belief, last_move, losing_streak, position))
+        reward = action.stake * (u if move is up else d)
         wealth += reward
-        if action.direction is neutral_dir:
+        if action.stake == 0:
             losing_streak = 0
         elif reward < 0:
             losing_streak += 1
@@ -181,8 +175,9 @@ def replay(
 def _run_one_path(
     policy: Policy, model: MarketModel, cfg: SimConfig, path_id: int
 ) -> WealthPath:
-    moves = sample_moves(model.p_up, cfg.horizon, derive_path_seed(cfg.master_seed, path_id))
-    return replay(policy, model, cfg.initial_belief, moves, path_id)
+    problem = cfg.problem
+    moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(cfg.master_seed, path_id))
+    return replay(policy, model, problem.initial_belief, moves, path_id)
 
 
 def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
@@ -203,7 +198,6 @@ def compare(policies: Sequence[Policy], model: MarketModel, cfg: SimConfig) -> C
     if not policies:
         raise ValidationError("need at least one policy to compare")
     results = [run(p, model, cfg) for p in policies]
-    rows = [ComparisonRow(policy_name=r.policy_name, stats=r.stats) for r in results]
     pairwise: list[PairwiseDiff] = []
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
@@ -219,4 +213,4 @@ def compare(policies: Sequence[Policy], model: MarketModel, cfg: SimConfig) -> C
                     ci_high=mean + Z_99 * se,
                 )
             )
-    return ComparisonTable(rows=rows, pairwise=pairwise, results=results)
+    return ComparisonTable(pairwise=pairwise, results=results)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .actions import LONG, NEUTRAL, SHORT, Action, Move
-from .beliefs import Belief, BetaBernoulli, Mirror, Static
+from .beliefs import Belief, BetaBernoulli, Mirror, Static, expected_step_reward
 from .errors import ValidationError
 from .market import (
     DividendSpec,
@@ -87,17 +87,12 @@ def _myopic_best(
     action_set: Sequence[Action],
 ) -> Action:
     # Moves are exogenous, so the continuation value is shared by every
-    # action and the optimal choice reduces to the one-step expectation;
-    # ties break to the earliest action, matching the solver's contract.
-    u, d = ticks
-    q_up = belief.predictive()
-    best = None
-    best_val = None
-    for a in action_set:
-        val = a.direction.sign * a.size * (q_up * u + (1.0 - q_up) * d)
-        if best_val is None or val > best_val:
-            best, best_val = a, val
-    return best
+    # action and the optimal choice reduces to the one-step expectation,
+    # the stake times that of one long unit (computed once: this runs for
+    # every step of every enumerated path); max keeps the first maximum,
+    # the solver's tie-break.
+    unit = expected_step_reward(belief, LONG, ticks)
+    return max(action_set, key=lambda a: a.stake * unit)
 
 
 def enumeration_q(
@@ -125,7 +120,7 @@ def enumeration_q(
             q_up = b.predictive()
             prob *= q_up if move is Move.UP else (1.0 - q_up)
             tick = u if move is Move.UP else d
-            payoff += (discount**t) * a.direction.sign * a.size * tick
+            payoff += (discount**t) * a.stake * tick
             b = b.update(move)
         total += prob * payoff
     return total

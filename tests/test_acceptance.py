@@ -126,9 +126,9 @@ def test_criterion_4_long_short_symmetry():
 def test_criterion_5_mc_consistency():
     start = time.perf_counter()
     prob = DecisionProblem(horizon=10, ticks=TICKS, initial_belief=Static(0.6))
-    policy = make_policy(PolicySpec("alwayslong"), prob)
+    policy = make_policy(PolicySpec("buyhold"), prob)
     model = MarketModel(u=10.0, d=-10.0, p_up=0.4, initial_wealth=1000.0)
-    cfg = SimConfig(n_paths=200_000, horizon=10, master_seed=42, initial_belief=Static(0.6))
+    cfg = SimConfig(prob, n_paths=200_000, master_seed=42)
     result = run(policy, model, cfg)
     elapsed = time.perf_counter() - start
     # population mean 980, 3 standard errors = 3 * 9.8 * sqrt(10) / sqrt(N)
@@ -143,7 +143,7 @@ def test_criterion_5_mc_consistency():
 def test_criterion_6_cutloss_beats_avgdown():
     prob = DecisionProblem(horizon=20, ticks=TICKS, initial_belief=Static(0.6))
     model = MarketModel(u=10.0, d=-10.0, p_up=0.45, initial_wealth=1000.0)
-    cfg = SimConfig(n_paths=100_000, horizon=20, master_seed=99, initial_belief=Static(0.6))
+    cfg = SimConfig(prob, n_paths=100_000, master_seed=99)
     table = compare(
         [make_policy(PolicySpec("cutloss"), prob), make_policy(PolicySpec("avgdown"), prob)],
         model,
@@ -160,7 +160,7 @@ def test_criterion_7_policy_equivalence_on_sampled_paths():
     belief0 = Mirror(0.6, Move.UP)
     prob = DecisionProblem(horizon=12, ticks=TICKS, initial_belief=belief0, action_set=(LONG, NEUTRAL))
     model = MarketModel(u=10.0, d=-10.0, p_up=0.5, initial_wealth=1000.0)
-    cfg = SimConfig(n_paths=1000, horizon=12, master_seed=7, initial_belief=belief0)
+    cfg = SimConfig(prob, n_paths=1000, master_seed=7)
     table = compare(
         [make_policy(PolicySpec("bellman"), prob), make_policy(PolicySpec("cutloss"), prob)],
         model,

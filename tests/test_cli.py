@@ -79,6 +79,12 @@ class TestConfigParsing:
         cfg = parse_config("problem.actions = long,neutral\n")
         assert [a.direction.value for a in cfg.actions()] == ["long", "neutral"]
 
+    def test_repeated_key_carries_both_line_numbers(self):
+        text = "problem.horizon = 3\nmarket.u = 10\nproblem.horizon = 4\n"
+        message = "line 3: key 'problem.horizon' already set on line 1"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(text)
+
 
 class TestParser:
     def test_subcommands_exist(self):
@@ -253,3 +259,55 @@ class TestVerifyCommand:
         assert {r["suite"] for r in doc["reports"]} == {"bellman", "example21", "averaging", "price"}
         for rep in doc["reports"]:
             assert set(rep) == {"suite", "cases", "overall"}
+
+
+class TestUnwritableOutputs:
+    """An output that cannot be written is a configuration error (exit 2),
+    found before any work is done, and a failed run leaves no output file."""
+
+    def _fails_before_work(self, argv, capsys, *absent):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert "nodir" in captured.err
+        assert captured.out == ""
+        for path in absent:
+            assert not path.exists()
+
+    def test_solve(self, config_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "q.csv"
+        self._fails_before_work(["solve", "--config", config_file, "--out", str(out)], capsys)
+
+    def test_simulate(self, config_file, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        stats = tmp_path / "nodir" / "stats.csv"
+        argv = ["simulate", "--config", config_file, "--policy", "cutloss",
+                "--out", str(out), "--stats-out", str(stats)]
+        self._fails_before_work(argv, capsys, out)
+
+    def test_compare(self, config_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "cmp.csv"
+        argv = ["compare", "--config", config_file, "--policies", "cutloss", "--out", str(out)]
+        self._fails_before_work(argv, capsys)
+
+    def test_verify(self, tmp_path, capsys):
+        report = tmp_path / "nodir" / "report.json"
+        self._fails_before_work(["verify", "--suite", "price", "--json", str(report)], capsys)
+
+    def test_failure_after_opening_removes_outputs(self, tmp_path, capsys):
+        path = tmp_path / "long_only.cfg"
+        path.write_text("problem.actions = long,short\n")
+        out, stats = tmp_path / "paths.csv", tmp_path / "stats.csv"
+        argv = ["simulate", "--config", str(path), "--policy", "cutloss",
+                "--out", str(out), "--stats-out", str(stats)]
+        assert main(argv) == EXIT_CONFIG
+        assert "unit neutral action" in capsys.readouterr().err
+        assert not out.exists() and not stats.exists()
+
+    def test_same_path_twice_rejected(self, config_file, tmp_path, capsys):
+        out = tmp_path / "both.csv"
+        argv = ["simulate", "--config", config_file, "--policy", "cutloss",
+                "--out", str(out), "--stats-out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "output paths must differ" in capsys.readouterr().err
+        assert not out.exists()

@@ -106,17 +106,6 @@ class TestEnumeratePaths:
         with pytest.raises(ResourceLimitError):
             enumerate_paths(model(), max_enum_horizon() + 1)
 
-    def test_bound_env_override(self, monkeypatch):
-        monkeypatch.setenv("OTL_MAX_ENUM_HORIZON", "3")
-        with pytest.raises(ResourceLimitError):
-            enumerate_paths(model(), 4)
-        assert len(enumerate_paths(model(), 3)) == 8
-
-    def test_bad_env_override(self, monkeypatch):
-        monkeypatch.setenv("OTL_MAX_ENUM_HORIZON", "three")
-        with pytest.raises(ValidationError):
-            enumerate_paths(model(), 2)
-
 
 IDENTITY = DividendSpec(
     per_step_dividend=lambda t, a, level: 0.0,

@@ -120,7 +120,7 @@ class TestValidation:
         "ticks", [(math.inf, -10.0), (10.0, -math.inf), (math.nan, -10.0)]
     )
     def test_non_finite_ticks(self, ticks):
-        with pytest.raises(ValidationError, match="ticks must be finite"):
+        with pytest.raises(ValidationError, match="DecisionProblem ticks [ud] must be finite"):
             problem(1, Static(0.6), ticks=ticks)
 
     def test_overflowing_q_values_rejected(self):

@@ -24,14 +24,13 @@ from otl import (
 TICKS = (10.0, -10.0)
 
 
-def ctx(t=0, belief=Static(0.6), last_move=None, losing_streak=0, position=NEUTRAL, wealth=1000.0):
+def ctx(t=0, belief=Static(0.6), last_move=None, losing_streak=0, position=NEUTRAL):
     return DecisionContext(
         t=t,
         belief=belief,
         last_move=last_move,
         losing_streak=losing_streak,
         current_position=position,
-        wealth=wealth,
     )
 
 
@@ -71,11 +70,6 @@ class TestAverageDown:
         sizes = [pol.decide(ctx(losing_streak=k, position=LONG)).size for k in range(10)]
         assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64]
 
-    def test_rung_cap_configurable(self):
-        pol = make_policy(PolicySpec("avgdown", max_rungs=3), problem())
-        sizes = [pol.decide(ctx(losing_streak=k, position=LONG)).size for k in range(5)]
-        assert sizes == [1, 2, 4, 4, 4]
-
     def test_never_exits_on_losses(self):
         pol = make_policy(PolicySpec("avgdown"), problem())
         for k in range(8):
@@ -91,11 +85,6 @@ class TestBuyHold:
         pol = make_policy(PolicySpec("buyhold"), problem())
         for streak, move in [(0, None), (0, Move.DOWN), (3, Move.UP)]:
             assert pol.decide(ctx(losing_streak=streak, last_move=move, position=LONG)) == LONG
-
-    def test_alwayslong_alias(self):
-        pol = make_policy(PolicySpec("alwayslong"), problem())
-        assert pol.name == "alwayslong"
-        assert pol.decide(ctx()) == LONG
 
 
 class TestBellmanOptimal:

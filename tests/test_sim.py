@@ -33,7 +33,7 @@ def market(p, wealth=1000.0):
 
 
 def cfg(n_paths, horizon, seed=101, belief=Static(0.6)):
-    return SimConfig(n_paths=n_paths, horizon=horizon, master_seed=seed, initial_belief=belief)
+    return SimConfig(problem(horizon, belief), n_paths=n_paths, master_seed=seed)
 
 
 class TestSummarize:
@@ -124,7 +124,7 @@ class TestCompare:
         prob = problem(6)
         pols = [make_policy(PolicySpec("cutloss"), prob) for _ in range(2)]
         table = compare(pols, market(0.45), cfg(500, 6))
-        assert table.rows[0].stats == table.rows[1].stats
+        assert table.results[0].stats == table.results[1].stats
         assert table.pairwise[0].mean_diff == 0.0
 
     def test_common_random_numbers_share_moves(self):
