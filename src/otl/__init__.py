@@ -22,11 +22,9 @@ from .errors import (
 from .market import (
     DividendSpec,
     MarketModel,
-    PricePath,
     derive_path_seed,
     enumerate_paths,
     price_process,
-    sample_path,
 )
 from .mdp import DecisionProblem, QTable, solve_q
 from .policies import (
@@ -34,9 +32,7 @@ from .policies import (
     BellmanOptimal,
     BuyHold,
     CutLoss,
-    DecisionContext,
     Policy,
-    PolicySpec,
     make_policy,
 )
 from .sim import ComparisonTable, SimConfig, SimResult, Stats, WealthPath, compare, run, summarize
@@ -54,7 +50,6 @@ __all__ = [
     "ComparisonTable",
     "ConfigurationError",
     "CutLoss",
-    "DecisionContext",
     "DecisionProblem",
     "Direction",
     "DividendSpec",
@@ -65,8 +60,6 @@ __all__ = [
     "NEUTRAL",
     "OtlError",
     "Policy",
-    "PolicySpec",
-    "PricePath",
     "QTable",
     "Report",
     "ResourceLimitError",
@@ -90,7 +83,6 @@ __all__ = [
     "make_policy",
     "price_process",
     "run",
-    "sample_path",
     "solve_q",
     "summarize",
 ]

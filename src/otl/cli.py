@@ -19,7 +19,7 @@ from .beliefs import belief_id
 from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .mdp import solve_q
-from .policies import POLICY_KINDS, PolicySpec, make_policy
+from .policies import POLICY_KINDS, make_policy
 from .sim import SimResult, compare, run
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def _export_qtable(table, writer) -> None:
     if writer is not None:
         writer.writerow(QTABLE_CSV_COLUMNS)
     for t in range(table.problem.horizon):
-        ids = [belief_id(b) for b in table.layers[t]]
+        ids = [belief_id(b) for b in table.rows[t]]
         qs = table.qs[t].tolist()
         best = table.best[t].tolist()
         lines = []
@@ -193,19 +193,19 @@ def _export_qtable(table, writer) -> None:
             writer.writerows(csv_rows)
 
 
-def _parse_policy_name(name: str) -> PolicySpec:
+def _parse_policy_name(name: str) -> str:
     name = name.strip().lower()
     if name not in POLICY_KINDS:
         raise ConfigurationError(f"unknown policy name: {name!r}")
-    return PolicySpec(kind=name)
+    return name
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    spec = _parse_policy_name(args.policy)
+    kind = _parse_policy_name(args.policy)
     sim_cfg = cfg.sim_config()
     with _outputs(args.out, args.stats_out) as (out, stats_out):
-        result = run(make_policy(spec, sim_cfg.problem), cfg.market(), sim_cfg)
+        result = run(make_policy(kind, sim_cfg.problem), cfg.market(), sim_cfg)
         _write_paths_csv(result, out)
         if stats_out:
             _write_stats_csv([result], stats_out)
@@ -218,10 +218,10 @@ def _cmd_compare(args) -> int:
     names = [n for n in args.policies.split(",") if n.strip()]
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
-    specs = [_parse_policy_name(n) for n in names]
+    kinds = [_parse_policy_name(n) for n in names]
     sim_cfg = cfg.sim_config()
     with _outputs(args.out) as (out,):
-        policies = [make_policy(spec, sim_cfg.problem) for spec in specs]
+        policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]
         table = compare(policies, cfg.market(), sim_cfg)
         _write_stats_csv(table.results, out)
     for result in table.results:

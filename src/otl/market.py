@@ -12,7 +12,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .actions import Move, check_ticks
 from .errors import ResourceLimitError, ValidationError
@@ -47,18 +49,6 @@ class MarketModel:
     @property
     def ticks(self) -> tuple[float, float]:
         return (self.u, self.d)
-
-
-@dataclass(frozen=True)
-class PricePath:
-    """A sequence of moves; probability is set only for enumerated paths."""
-
-    moves: tuple[Move, ...]
-    probability: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
-            raise ValidationError(f"path probability out of [0,1]: {self.probability}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +88,15 @@ def sample_moves(p_up: float, horizon: int, path_seed: int) -> tuple[Move, ...]:
     return tuple(Move.UP if rng.random() < p_up else Move.DOWN for _ in range(horizon))
 
 
-def sample_path(model: MarketModel, horizon: int, path_seed: int) -> PricePath:
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    return PricePath(moves=sample_moves(model.p_up, horizon, path_seed))
+def enumerate_paths(
+    model: MarketModel, horizon: int
+) -> Iterator[tuple[tuple[Move, ...], float]]:
+    """All 2^T move paths with their true-probability weights, as
+    (moves, probability) pairs in itertools.product order, Up first.
 
-
-def enumerate_paths(model: MarketModel, horizon: int) -> list[PricePath]:
-    """All 2^T move paths with their true-probability weights."""
+    Each probability is the left-to-right product of its moves' weights,
+    taken one move at a time across all paths at once.
+    """
     bound = max_enum_horizon()
     if horizon > bound:
         raise ResourceLimitError(
@@ -114,13 +105,10 @@ def enumerate_paths(model: MarketModel, horizon: int) -> list[PricePath]:
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}")
     p = model.p_up
-    out = []
-    for combo in itertools.product((Move.UP, Move.DOWN), repeat=horizon):
-        prob = 1.0
-        for m in combo:
-            prob *= p if m is Move.UP else (1.0 - p)
-        out.append(PricePath(moves=combo, probability=prob))
-    return out
+    probs = np.ones(1)
+    for _ in range(horizon):
+        probs = (probs[:, None] * [p, 1.0 - p]).ravel()
+    return zip(itertools.product((Move.UP, Move.DOWN), repeat=horizon), probs.tolist())
 
 
 def price_process(
@@ -172,12 +160,12 @@ def expected_dividend_by_enumeration(
     """Oracle for price_process with action-independent dividends: sum the
     dividend stream over every enumerated path, probability-weighted."""
     total = 0.0
-    for path in enumerate_paths(model, horizon):
+    for moves, probability in enumerate_paths(model, horizon):
         level = div.initial_level
         acc = 0.0
-        for t, m in enumerate(path.moves, start=1):
+        for t, m in enumerate(moves, start=1):
             level += model.u if m is Move.UP else model.d
             acc += div.per_step_dividend(t, action, level)
         acc += div.terminal_payoff(level)
-        total += path.probability * acc
+        total += probability * acc
     return total

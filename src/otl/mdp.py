@@ -80,8 +80,8 @@ class QTable:
     """Solved subjective Q-values over every reachable stage state, stored
     per decision time t (one lattice layer per t, T = problem.horizon):
 
-    * ``layers[t]``: the beliefs reachable at t, in forward-closure order;
-    * ``rows[t]``: ``{belief: row}``, the belief's index in ``layers[t]``;
+    * ``rows[t]``: ``{belief: row}`` over the beliefs reachable at t, in
+      forward-closure order, so row i is the i-th key;
     * ``qs[t]``: float64 ``(n_t, |A|)`` Q-values, columns in action_set
       order (t < T);
     * ``vs[t]``: float64 ``(n_t,)`` values, all zero at t = T;
@@ -92,7 +92,6 @@ class QTable:
     """
 
     problem: DecisionProblem
-    layers: list[list[Belief]] = field(repr=False)
     rows: list[dict[Belief, int]] = field(repr=False)
     qs: list[np.ndarray] = field(repr=False)
     vs: list[np.ndarray] = field(repr=False)
@@ -106,23 +105,21 @@ class QTable:
     @property
     def values(self) -> Mapping[tuple[int, Belief], float]:
         """``{(t, belief): value}``, latest t first."""
-        layers = self.layers
+        rows = self.rows
         return _TableView(
             self.value,
-            lambda: ((t, b) for t in range(len(layers) - 1, -1, -1) for b in layers[t]),
-            sum(map(len, layers)),
+            lambda: ((t, b) for t in range(len(rows) - 1, -1, -1) for b in rows[t]),
+            sum(map(len, rows)),
         )
 
     @property
     def entries(self) -> Mapping[tuple[int, Belief, Action], float]:
         """``{(t, belief, action): Q}`` for t < horizon, latest t first."""
-        T, layers, actions = len(self.qs), self.layers, self.problem.action_set
+        T, rows, actions = len(self.qs), self.rows, self.problem.action_set
         return _TableView(
             self.q,
-            lambda: (
-                (t, b, a) for t in range(T - 1, -1, -1) for b in layers[t] for a in actions
-            ),
-            sum(map(len, layers[:T])) * len(actions),
+            lambda: ((t, b, a) for t in range(T - 1, -1, -1) for b in rows[t] for a in actions),
+            sum(map(len, rows[:T])) * len(actions),
         )
 
     def _row(self, t: int, belief: Belief) -> int | None:
@@ -131,9 +128,9 @@ class QTable:
         return self.rows[t].get(belief)
 
     def reachable_beliefs(self, t: int) -> list[Belief]:
-        if t < 0 or t >= len(self.layers):
+        if t < 0 or t >= len(self.rows):
             return []
-        return list(self.layers[t])
+        return list(self.rows[t])
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
         col = self._columns.get(action)
@@ -196,11 +193,10 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
             raise ResourceLimitError(
                 f"belief lattice exceeds {max_states} stage states at horizon {T}"
             )
-    layers = [list(layer) for layer in rows]
 
     u, d = problem.ticks
     actions = problem.action_set
-    v = np.zeros(len(layers[T]))
+    v = np.zeros(len(rows[T]))
     qs: list[np.ndarray] = []
     best: list[np.ndarray] = []
     vs = [v]
@@ -210,7 +206,7 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
             disc = problem.per_step_discount**t
             r_up = np.array([disc * a.stake * u for a in actions])
             r_dn = np.array([disc * a.stake * d for a in actions])
-            q_up = np.array([b.predictive() for b in layers[t]])[:, None]
+            q_up = np.array([b.predictive() for b in rows[t]])[:, None]
             v_up = v[up_rows[t]][:, None]
             v_dn = v[dn_rows[t]][:, None]
             q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
@@ -229,4 +225,4 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     qs.reverse()
     best.reverse()
     vs.reverse()
-    return QTable(problem=problem, layers=layers, rows=rows, qs=qs, vs=vs, best=best)
+    return QTable(problem=problem, rows=rows, qs=qs, vs=vs, best=best)

@@ -4,42 +4,24 @@ behaviors it is compared against (cut losses, average down, buy and hold).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .actions import LONG, Action, Direction, Move
 from .beliefs import Belief
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 from .mdp import DecisionProblem, QTable, solve_q
 
 
-@dataclass(slots=True)
-class DecisionContext:
-    """Everything a policy may condition on at one decision time.
-
-    Not frozen: the simulator builds one of these per step on a hot path.
-    Policies must treat it as read-only.
-    """
-
-    t: int
-    belief: Belief
-    last_move: Optional[Move]
-    losing_streak: int
-    current_position: Action
-
-    def __post_init__(self) -> None:
-        if self.losing_streak < 0:
-            raise ValidationError("losing_streak must be >= 0")
-        if self.current_position.direction is Direction.NEUTRAL and self.losing_streak:
-            raise ValidationError("losing_streak must be 0 while flat")
-
-
 class Policy:
-    """A pure decision rule; state lives entirely in the DecisionContext."""
+    """A pure decision rule over what the trader has seen at time t: the
+    belief, the last move (None at t = 0) and the number of consecutive
+    losing steps up to now (0 after any flat or winning step)."""
 
     name: str = "policy"
 
-    def decide(self, ctx: DecisionContext) -> Action:
+    def decide(
+        self, t: int, belief: Belief, last_move: Optional[Move], losing_streak: int
+    ) -> Action:
         raise NotImplementedError
 
 
@@ -51,8 +33,8 @@ class BellmanOptimal(Policy):
     def __init__(self, table: QTable):
         self.table = table
 
-    def decide(self, ctx: DecisionContext) -> Action:
-        return self.table.optimal_action(ctx.t, ctx.belief)
+    def decide(self, t, belief, last_move, losing_streak) -> Action:
+        return self.table.optimal_action(t, belief)
 
 
 class CutLoss(Policy):
@@ -65,8 +47,8 @@ class CutLoss(Policy):
         self._long = long
         self._neutral = neutral
 
-    def decide(self, ctx: DecisionContext) -> Action:
-        if ctx.last_move is Move.DOWN:
+    def decide(self, t, belief, last_move, losing_streak) -> Action:
+        if last_move is Move.DOWN:
             return self._neutral
         return self._long
 
@@ -82,8 +64,8 @@ class AverageDown(Policy):
 
     name = "avgdown"
 
-    def decide(self, ctx: DecisionContext) -> Action:
-        return _LADDER[min(ctx.losing_streak, _TOP_RUNG)]
+    def decide(self, t, belief, last_move, losing_streak) -> Action:
+        return _LADDER[min(losing_streak, _TOP_RUNG)]
 
 
 class BuyHold(Policy):
@@ -91,16 +73,8 @@ class BuyHold(Policy):
 
     name = "buyhold"
 
-    def decide(self, ctx: DecisionContext) -> Action:
+    def decide(self, t, belief, last_move, losing_streak) -> Action:
         return LONG
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Named policy configuration; `kind` is one of POLICY_KINDS."""
-
-    kind: str
-    table: Optional[QTable] = None
 
 
 POLICY_KINDS = ("bellman", "cutloss", "avgdown", "buyhold")
@@ -115,16 +89,11 @@ def _find_action(problem: DecisionProblem, direction: Direction) -> Action:
     )
 
 
-def make_policy(spec: PolicySpec, problem: DecisionProblem) -> Policy:
-    """Bind a policy spec to a problem, validating the required actions."""
-    kind = spec.kind
+def make_policy(kind: str, problem: DecisionProblem) -> Policy:
+    """Bind the policy `kind` (one of POLICY_KINDS) to a problem, validating
+    the actions it needs; bellman solves the problem's Q-table."""
     if kind == "bellman":
-        table = spec.table
-        if table is None:
-            table = solve_q(problem)
-        elif table.problem != problem:
-            raise ConfigurationError("supplied Q-table was solved for a different problem")
-        return BellmanOptimal(table)
+        return BellmanOptimal(solve_q(problem))
     if kind == "cutloss":
         return CutLoss(
             long=_find_action(problem, Direction.LONG),

@@ -8,17 +8,18 @@ move sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, Move, NEUTRAL
+from .actions import Action, Move
 from .beliefs import Belief
 from .errors import ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
 from .mdp import DecisionProblem
-from .policies import DecisionContext, Policy
+from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -114,6 +115,17 @@ class ComparisonTable:
     results: list[SimResult] = field(repr=False)
 
 
+def _check_finite(record: Stats | PairwiseDiff, owner: str, model: MarketModel) -> None:
+    """Reject a record with a non-finite float field, so that no inf or NaN
+    reaches an output: wealth, its spread or a difference overflowed."""
+    bad = [k for k, v in vars(record).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValidationError(
+            f"{owner}: {', '.join(bad)} not finite; ticks {model.ticks} and initial"
+            f" wealth {model.initial_wealth} overflow float64"
+        )
+
+
 def summarize(paths: Sequence[WealthPath]) -> Stats:
     if not paths:
         raise ValidationError("cannot summarize an empty path list")
@@ -146,7 +158,6 @@ def replay(
     """
     belief = initial_belief
     wealth = model.initial_wealth
-    position = NEUTRAL
     losing_streak = 0
     last_move: Move | None = None
     steps: list[StepRecord] = []
@@ -155,39 +166,34 @@ def replay(
     u, d = model.u, model.d
     up = Move.UP
     for t, move in enumerate(moves):
-        action = decide(DecisionContext(t, belief, last_move, losing_streak, position))
+        action = decide(t, belief, last_move, losing_streak)
         reward = action.stake * (u if move is up else d)
         wealth += reward
-        if action.stake == 0:
-            losing_streak = 0
-        elif reward < 0:
-            losing_streak += 1
-        else:
-            losing_streak = 0
+        # a flat step earns 0 * tick, +-0.0 and never < 0, so it resets the streak
+        losing_streak = losing_streak + 1 if reward < 0 else 0
         # beliefs see every move, even while flat: the tape is public
         belief = belief.update(move)
-        position = action
         last_move = move
         append(StepRecord(t, move, action, reward, wealth))
     return WealthPath(path_id=path_id, initial_wealth=model.initial_wealth, steps=steps)
 
 
-def _run_one_path(
-    policy: Policy, model: MarketModel, cfg: SimConfig, path_id: int
-) -> WealthPath:
-    problem = cfg.problem
-    moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(cfg.master_seed, path_id))
-    return replay(policy, model, problem.initial_belief, moves, path_id)
-
-
 def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
     """Run one policy over cfg.n_paths independent seeded paths."""
-    paths = [_run_one_path(policy, model, cfg, i) for i in range(cfg.n_paths)]
+    problem, seed = cfg.problem, cfg.master_seed
+    paths = []
+    for i in range(cfg.n_paths):
+        moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
+        paths.append(replay(policy, model, problem.initial_belief, moves, i))
     terminals = np.array([p.terminal_wealth for p in paths])
+    # overflow is caught by _check_finite and reported as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = summarize(paths)
+    _check_finite(stats, f"policy {policy.name}", model)
     return SimResult(
         policy_name=policy.name,
         paths=paths,
-        stats=summarize(paths),
+        stats=stats,
         terminals=terminals,
     )
 
@@ -201,16 +207,17 @@ def compare(policies: Sequence[Policy], model: MarketModel, cfg: SimConfig) -> C
     pairwise: list[PairwiseDiff] = []
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            diffs = results[i].terminals - results[j].terminals
-            mean = float(diffs.mean())
-            se = float(diffs.std(ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
-            pairwise.append(
-                PairwiseDiff(
-                    policy_a=results[i].policy_name,
-                    policy_b=results[j].policy_name,
-                    mean_diff=mean,
-                    ci_low=mean - Z_99 * se,
-                    ci_high=mean + Z_99 * se,
-                )
+            with np.errstate(over="ignore", invalid="ignore"):
+                diffs = results[i].terminals - results[j].terminals
+                mean = float(diffs.mean())
+                se = float(diffs.std(ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
+            diff = PairwiseDiff(
+                policy_a=results[i].policy_name,
+                policy_b=results[j].policy_name,
+                mean_diff=mean,
+                ci_low=mean - Z_99 * se,
+                ci_high=mean + Z_99 * se,
             )
+            _check_finite(diff, f"policies {diff.policy_a} - {diff.policy_b}", model)
+            pairwise.append(diff)
     return ComparisonTable(pairwise=pairwise, results=results)

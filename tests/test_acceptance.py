@@ -21,7 +21,6 @@ from otl import (
     MarketModel,
     Mirror,
     Move,
-    PolicySpec,
     Static,
     compare,
     make_policy,
@@ -126,7 +125,7 @@ def test_criterion_4_long_short_symmetry():
 def test_criterion_5_mc_consistency():
     start = time.perf_counter()
     prob = DecisionProblem(horizon=10, ticks=TICKS, initial_belief=Static(0.6))
-    policy = make_policy(PolicySpec("buyhold"), prob)
+    policy = make_policy("buyhold", prob)
     model = MarketModel(u=10.0, d=-10.0, p_up=0.4, initial_wealth=1000.0)
     cfg = SimConfig(prob, n_paths=200_000, master_seed=42)
     result = run(policy, model, cfg)
@@ -145,7 +144,7 @@ def test_criterion_6_cutloss_beats_avgdown():
     model = MarketModel(u=10.0, d=-10.0, p_up=0.45, initial_wealth=1000.0)
     cfg = SimConfig(prob, n_paths=100_000, master_seed=99)
     table = compare(
-        [make_policy(PolicySpec("cutloss"), prob), make_policy(PolicySpec("avgdown"), prob)],
+        [make_policy("cutloss", prob), make_policy("avgdown", prob)],
         model,
         cfg,
     )
@@ -162,7 +161,7 @@ def test_criterion_7_policy_equivalence_on_sampled_paths():
     model = MarketModel(u=10.0, d=-10.0, p_up=0.5, initial_wealth=1000.0)
     cfg = SimConfig(prob, n_paths=1000, master_seed=7)
     table = compare(
-        [make_policy(PolicySpec("bellman"), prob), make_policy(PolicySpec("cutloss"), prob)],
+        [make_policy("bellman", prob), make_policy("cutloss", prob)],
         model,
         cfg,
     )

@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
@@ -311,3 +317,120 @@ class TestUnwritableOutputs:
         assert main(argv) == EXIT_CONFIG
         assert "output paths must differ" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteStatistics:
+    """Ticks so large that wealth, its spread or a paired difference
+    overflows float64 are a configuration error (exit 2) naming the policy,
+    and no output file is left behind."""
+
+    OVERFLOW = "market.u = 1e307\nmarket.d = -1e307\nproblem.horizon = 8\nsim.paths = 5\n"
+
+    def _rejected(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "big.cfg"
+        path.write_text(text)
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        argv = [a.format(config=path, a=outs[0], b=outs[1]) for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "ticks (" in captured.err
+        assert captured.out == ""
+        assert not any(out.exists() for out in outs)
+
+    def test_simulate(self, tmp_path, capsys):
+        argv = ["simulate", "--config", "{config}", "--policy", "avgdown",
+                "--out", "{a}", "--stats-out", "{b}"]
+        self._rejected(tmp_path, capsys, self.OVERFLOW, argv, "policy avgdown: ")
+
+    def test_compare(self, tmp_path, capsys):
+        argv = ["compare", "--config", "{config}", "--policies", "cutloss,avgdown", "--out", "{a}"]
+        self._rejected(tmp_path, capsys, self.OVERFLOW, argv, "policy cutloss: ")
+
+    def test_compare_paired_difference(self, tmp_path, capsys):
+        # each policy's own statistics are finite; only their difference is not
+        text = ("market.u = 1e308\nmarket.d = -1e308\nmarket.p = 1\nbelief.q0 = 0.4\n"
+                "problem.horizon = 1\nsim.paths = 1\n")
+        argv = ["compare", "--config", "{config}", "--policies", "bellman,buyhold", "--out", "{a}"]
+        self._rejected(tmp_path, capsys, text, argv, "policies bellman - buyhold: mean_diff")
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(repr)
+
+
+# a value for each key from its valid range, extremes included...
+_VALID = {
+    "market.u": _floats(0.0, 1.7e308, exclude_min=True),
+    "market.d": _floats(-1.7e308, 0.0, exclude_max=True),
+    "market.p": _floats(0.0, 1.0),
+    "market.initial_wealth": _floats(-1.7e308, 1.7e308),
+    "problem.actions": st.lists(
+        st.sampled_from(["long", "neutral", "short"]), min_size=1, max_size=3, unique=True
+    ).map(",".join),
+    "problem.discount": _floats(0.0, 1.0, exclude_min=True),
+    "belief.kind": st.sampled_from(["static", "mirror", "beta"]),
+    "belief.q0": _floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "belief.confidence": _floats(0.5, 1.0, exclude_max=True),
+    "belief.alpha": _floats(0.0, 1.7e308, exclude_min=True),
+    "belief.beta": _floats(0.0, 1.7e308, exclude_min=True),
+    "sim.seed": st.integers(-(2**80), 2**80).map(str),
+}
+# ...and, for a few keys, a value that is non-finite, on a boundary, huge,
+# negative or not a number at all
+_ODD = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "-0.0", "0", "1e307", "-1e307", "1.7e308",
+                     "5e-324", str(2**70), str(-(2**70))]),
+    st.floats().map(repr),
+    st.integers(-(2**80), 2**80).map(str),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=6),
+)
+_NON_FINITE = re.compile(r"(?i)\b(?:inf|infinity|nan)\b")
+
+
+class TestFuzz:
+    """Random configs through `otl solve`, `simulate` and `compare`: the
+    exit code is always a documented one, a successful run writes and prints
+    only finite numbers, and a failed run leaves no output file.
+
+    problem.horizon is drawn from 0-8 and sim.paths from 1-20 so that the
+    fuzz runs in seconds; memory still grows without bound in
+    sim.paths x horizon, which these ranges do not test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.fixed_dictionaries({}, optional=_VALID),
+        odd=st.dictionaries(st.sampled_from(sorted(_VALID)), _ODD, max_size=2),
+        horizon=st.integers(0, 8),
+        paths=st.integers(1, 20),
+        policy=st.sampled_from(["bellman", "cutloss", "avgdown", "buyhold"]),
+    )
+    def test_exit_codes_and_finite_outputs(self, values, odd, horizon, paths, policy):
+        lines = [f"{key} = {value}" for key, value in {**values, **odd}.items()]
+        lines += [f"problem.horizon = {horizon}", f"sim.paths = {paths}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "fuzz.cfg")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            a, b = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            for argv, outs in [
+                (["solve", "--config", config, "--out", a], [a]),
+                (["simulate", "--config", config, "--policy", policy,
+                  "--out", a, "--stats-out", b], [a, b]),
+                (["compare", "--config", config, "--policies", f"cutloss,{policy}",
+                  "--out", a], [a]),
+            ]:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), argv
+                if code == EXIT_OK:
+                    assert not _NON_FINITE.search(stdout.getvalue()), argv
+                    for out in outs:
+                        with open(out, encoding="utf-8") as fh:
+                            assert not _NON_FINITE.search(fh.read()), argv
+                else:
+                    assert not any(os.path.exists(out) for out in outs), argv
+                for out in outs:
+                    if os.path.exists(out):
+                        os.remove(out)

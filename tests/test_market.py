@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,13 +7,11 @@ from otl import (
     DividendSpec,
     MarketModel,
     Move,
-    PricePath,
     ResourceLimitError,
     ValidationError,
     derive_path_seed,
     enumerate_paths,
     price_process,
-    sample_path,
 )
 from otl.market import expected_dividend_by_enumeration, max_enum_horizon, sample_moves
 
@@ -23,19 +22,16 @@ def model(p=0.5, u=10.0, d=-10.0):
 
 class TestSamplePath:
     def test_certain_up(self):
-        path = sample_path(model(p=1.0), 5, path_seed=123)
-        assert path.moves == (Move.UP,) * 5
+        assert sample_moves(1.0, 5, path_seed=123) == (Move.UP,) * 5
 
     def test_certain_down(self):
-        path = sample_path(model(p=0.0), 3, path_seed=9)
-        assert path.moves == (Move.DOWN,) * 3
+        assert sample_moves(0.0, 3, path_seed=9) == (Move.DOWN,) * 3
 
     def test_deterministic_in_seed(self):
-        m = model(p=0.37)
-        a = sample_path(m, 50, path_seed=777)
-        b = sample_path(m, 50, path_seed=777)
+        a = sample_moves(0.37, 50, path_seed=777)
+        b = sample_moves(0.37, 50, path_seed=777)
         assert a == b
-        assert sample_path(m, 50, path_seed=778) != a
+        assert sample_moves(0.37, 50, path_seed=778) != a
 
     def test_single_move_frequency(self):
         # binomial 3-sigma band around p = 0.4 at N = 100,000
@@ -62,41 +58,54 @@ class TestSeedDerivation:
 
 class TestEnumeratePaths:
     def test_completeness_t2(self):
-        paths = enumerate_paths(model(p=0.3), 2)
+        paths = list(enumerate_paths(model(p=0.3), 2))
         assert len(paths) == 4
-        assert sum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
+        assert sum(prob for _, prob in paths) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_up_probability(self):
         paths = enumerate_paths(model(p=0.6), 3)
-        uuu = next(p for p in paths if p.moves == (Move.UP,) * 3)
-        assert uuu.probability == pytest.approx(0.216)
+        uuu = next(prob for moves, prob in paths if moves == (Move.UP,) * 3)
+        assert uuu == pytest.approx(0.216)
 
     def test_zero_horizon(self):
-        paths = enumerate_paths(model(), 0)
-        assert paths == [PricePath(moves=(), probability=1.0)]
+        assert list(enumerate_paths(model(), 0)) == [((), 1.0)]
 
     @pytest.mark.parametrize("T", range(13))
     def test_probabilities_sum_to_one(self, T):
         paths = enumerate_paths(model(p=0.42), T)
-        assert sum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
+        assert sum(prob for _, prob in paths) == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_sum_to_one_at_the_bound(self):
         # 2^20 paths; the largest horizon the default bound admits
-        paths = enumerate_paths(model(p=0.55), 20)
-        assert len(paths) == 2**20
+        probs = [prob for _, prob in enumerate_paths(model(p=0.55), 20)]
+        assert len(probs) == 2**20
         # accurate summation: naive left-to-right accumulation over 2^20
         # terms drowns the check in its own rounding error
-        assert math.fsum(p.probability for p in paths) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 0.42, 0.55])
+    def test_probabilities_match_the_per_path_product(self, p):
+        # reference: each path's weight multiplied out left to right, one
+        # path at a time; every probability must agree to the last bit
+        for T in range(13):
+            expected = []
+            for moves in itertools.product((Move.UP, Move.DOWN), repeat=T):
+                prob = 1.0
+                for mv in moves:
+                    prob *= p if mv is Move.UP else (1.0 - p)
+                expected.append((moves, prob.hex()))
+            got = [(moves, prob.hex()) for moves, prob in enumerate_paths(model(p=p), T)]
+            assert got == expected
 
     def test_sample_frequencies_match_enumeration(self):
         # chi-square over the 8 outcomes of T=3 at N=100,000; the critical
         # value is the df=7 quantile at the two-sided 3-sigma level (0.9973)
         m = model(p=0.37)
-        expected = {p.moves: p.probability for p in enumerate_paths(m, 3)}
+        expected = dict(enumerate_paths(m, 3))
         n = 100_000
         counts = {moves: 0 for moves in expected}
         for i in range(n):
-            counts[sample_path(m, 3, derive_path_seed(99, i)).moves] += 1
+            counts[sample_moves(m.p_up, 3, derive_path_seed(99, i))] += 1
         chi2 = sum(
             (counts[mv] - n * pr) ** 2 / (n * pr) for mv, pr in expected.items()
         )

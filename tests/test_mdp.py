@@ -298,9 +298,12 @@ class TestTableLayout:
     def test_layers_rows_and_arrays(self):
         b = BetaBernoulli(3, 2)
         table = solve_q(problem(4, b))
-        assert [len(layer) for layer in table.layers] == [1, 2, 3, 4, 5]
-        for t, layer in enumerate(table.layers):
-            assert table.rows[t] == {belief: i for i, belief in enumerate(layer)}
+        assert len(table.rows) == 5
+        for t, rows in enumerate(table.rows):
+            # closure order: from each belief, its up child before its down child
+            layer = [BetaBernoulli(3 + t - k, 2 + k) for k in range(t + 1)]
+            assert table.reachable_beliefs(t) == layer
+            assert rows == {belief: i for i, belief in enumerate(layer)}
             assert table.vs[t].shape == (len(layer),)
             if t < 4:
                 assert table.qs[t].shape == (len(layer), 3)

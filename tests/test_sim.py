@@ -10,7 +10,7 @@ from otl import (
     MarketModel,
     Mirror,
     Move,
-    PolicySpec,
+    Policy,
     Static,
     ValidationError,
     compare,
@@ -71,21 +71,21 @@ class TestSummarize:
 
 class TestRun:
     def test_determinism(self):
-        pol = make_policy(PolicySpec("cutloss"), problem(8))
+        pol = make_policy("cutloss", problem(8))
         a = run(pol, market(0.45), cfg(300, 8))
         b = run(pol, market(0.45), cfg(300, 8))
         assert a.stats == b.stats
         assert [p.steps for p in a.paths] == [p.steps for p in b.paths]
 
     def test_accounting_identity(self):
-        pol = make_policy(PolicySpec("avgdown"), problem(12))
+        pol = make_policy("avgdown", problem(12))
         res = run(pol, market(0.48), cfg(200, 12))
         for path in res.paths:
             total = sum(s.reward for s in path.steps)
             assert path.terminal_wealth == path.initial_wealth + total
 
     def test_fair_coin_fixed_size_mean(self):
-        pol = make_policy(PolicySpec("buyhold"), problem(10))
+        pol = make_policy("buyhold", problem(10))
         n = 20_000
         res = run(pol, market(0.5), cfg(n, 10, seed=7))
         se = 10.0 * math.sqrt(10) / math.sqrt(n)
@@ -93,7 +93,7 @@ class TestRun:
 
     def test_beliefs_update_while_flat(self):
         # a mirror trader who exits after a loss must re-enter on the next up
-        pol = make_policy(PolicySpec("bellman"), problem(3, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL)))
+        pol = make_policy("bellman", problem(3, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL)))
         path = replay(pol, market(0.5), Mirror(0.6, Move.UP), [Move.DOWN, Move.UP, Move.UP])
         assert [s.action for s in path.steps] == [LONG, NEUTRAL, LONG]
 
@@ -106,12 +106,11 @@ class TestRun:
         # true probability
         T, p = 6, 0.45
         prob = problem(T, belief=Mirror(0.6, Move.UP))
-        pol = make_policy(PolicySpec("cutloss"), prob)
+        pol = make_policy("cutloss", prob)
         m = market(p)
         exact = sum(
-            path.probability
-            * replay(pol, m, Mirror(0.6, Move.UP), path.moves).terminal_wealth
-            for path in enumerate_paths(m, T)
+            probability * replay(pol, m, Mirror(0.6, Move.UP), moves).terminal_wealth
+            for moves, probability in enumerate_paths(m, T)
         )
         n = 40_000
         res = run(pol, m, cfg(n, T, seed=11, belief=Mirror(0.6, Move.UP)))
@@ -119,10 +118,42 @@ class TestRun:
         assert abs(res.stats.mean_terminal - exact) < 3 * se
 
 
+class _StreakRecorder(Policy):
+    """Records the losing streak it is shown; flat at t = 0, 3, 6, ... and
+    long one unit otherwise, so that streaks both grow and meet flat steps."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.streaks = []
+
+    def decide(self, t, belief, last_move, losing_streak):
+        self.streaks.append(losing_streak)
+        return NEUTRAL if t % 3 == 0 else LONG
+
+
+class TestLosingStreak:
+    def test_streak_bookkeeping_on_every_path(self):
+        T, m = 8, market(0.5)
+        for moves, _ in enumerate_paths(m, T):
+            pol = _StreakRecorder()
+            steps = replay(pol, m, Static(0.6), moves).steps
+            seen = pol.streaks
+            assert seen[0] == 0
+            for t in range(T - 1):
+                before, after = seen[t], seen[t + 1]
+                if steps[t].action is NEUTRAL:
+                    assert after == 0
+                elif steps[t].move is Move.DOWN:
+                    assert after == before + 1
+                else:
+                    assert after == 0
+
+
 class TestCompare:
     def test_same_policy_twice_identical_rows(self):
         prob = problem(6)
-        pols = [make_policy(PolicySpec("cutloss"), prob) for _ in range(2)]
+        pols = [make_policy("cutloss", prob) for _ in range(2)]
         table = compare(pols, market(0.45), cfg(500, 6))
         assert table.results[0].stats == table.results[1].stats
         assert table.pairwise[0].mean_diff == 0.0
@@ -130,7 +161,7 @@ class TestCompare:
     def test_common_random_numbers_share_moves(self):
         prob = problem(5)
         table = compare(
-            [make_policy(PolicySpec("cutloss"), prob), make_policy(PolicySpec("buyhold"), prob)],
+            [make_policy("cutloss", prob), make_policy("buyhold", prob)],
             market(0.5),
             cfg(50, 5),
         )
@@ -141,7 +172,7 @@ class TestCompare:
     def test_cutloss_beats_avgdown_in_a_down_market(self):
         prob = problem(15)
         table = compare(
-            [make_policy(PolicySpec("cutloss"), prob), make_policy(PolicySpec("avgdown"), prob)],
+            [make_policy("cutloss", prob), make_policy("avgdown", prob)],
             market(0.45),
             cfg(20_000, 15, seed=3),
         )
