@@ -93,6 +93,11 @@ class BetaBernoulli(Belief):
                 f"BetaBernoulli {name} must be finite and > 0,"
                 f" got ({self.alpha}, {self.beta})"
             )
+        # predictive() divides by the sum, which must not overflow
+        if not math.isfinite(self.alpha + self.beta):
+            raise ValidationError(
+                f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
+            )
 
     def predictive(self) -> float:
         return self.alpha / (self.alpha + self.beta)

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from typing import IO, Iterator, Optional, Sequence
 
 from . import verify as verify_mod
@@ -20,7 +21,7 @@ from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .mdp import solve_q
 from .policies import POLICY_KINDS, make_policy
-from .sim import SimResult, compare, run
+from .sim import SimResult, Stats, compare, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -28,18 +29,7 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 PATH_CSV_COLUMNS = ["path_id", "t", "move", "action", "size", "reward", "wealth"]
-STATS_CSV_COLUMNS = [
-    "policy",
-    "mean_terminal",
-    "std_terminal",
-    "q05",
-    "q25",
-    "q50",
-    "q75",
-    "q95",
-    "mean_max_drawdown",
-    "ruin_fraction",
-]
+STATS_CSV_COLUMNS = ["policy", *(f.name for f in fields(Stats))]
 QTABLE_CSV_COLUMNS = ["t", "belief_id", "action", "q_value", "is_optimal"]
 
 
@@ -125,26 +115,11 @@ def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
             )
 
 
-def _stats_row(name: str, stats) -> list[str]:
-    return [
-        name,
-        _num(stats.mean_terminal),
-        _num(stats.std_terminal),
-        _num(stats.q05),
-        _num(stats.q25),
-        _num(stats.q50),
-        _num(stats.q75),
-        _num(stats.q95),
-        _num(stats.mean_max_drawdown),
-        _num(stats.ruin_fraction),
-    ]
-
-
 def _write_stats_csv(results: list[SimResult], fh: IO[str]) -> None:
     writer = csv.writer(fh)
     writer.writerow(STATS_CSV_COLUMNS)
     for result in results:
-        writer.writerow(_stats_row(result.policy_name, result.stats))
+        writer.writerow([result.policy_name, *map(_num, astuple(result.stats))])
 
 
 def _print_stats(name: str, stats) -> None:

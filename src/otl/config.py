@@ -9,15 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move
+from .actions import Action, Move
 from .beliefs import Belief, BetaBernoulli, Mirror, Static
 from .errors import ConfigurationError, ValidationError
 from .market import MarketModel
-from .mdp import DecisionProblem
+from .mdp import DEFAULT_ACTIONS, DecisionProblem
 from .sim import SimConfig
 
-_ACTION_NAMES = {"long": LONG, "neutral": NEUTRAL, "short": SHORT}
-BELIEF_KINDS = ("static", "mirror", "beta")
+_ACTION_NAMES = {str(a): a for a in DEFAULT_ACTIONS}
+# belief.kind -> the initial belief built from a RunConfig
+_BELIEFS = {
+    "static": lambda cfg: Static(cfg.belief_q0),
+    "mirror": lambda cfg: Mirror(cfg.belief_confidence, Move.UP),
+    "beta": lambda cfg: BetaBernoulli(cfg.belief_alpha, cfg.belief_beta),
+}
+BELIEF_KINDS = tuple(_BELIEFS)
 
 
 @dataclass
@@ -38,13 +44,11 @@ class RunConfig:
     sim_seed: int = 0
 
     def belief(self) -> Belief:
-        if self.belief_kind == "static":
-            return Static(self.belief_q0)
-        if self.belief_kind == "mirror":
-            return Mirror(self.belief_confidence, Move.UP)
-        if self.belief_kind == "beta":
-            return BetaBernoulli(self.belief_alpha, self.belief_beta)
-        raise ConfigurationError(f"belief.kind must be one of {BELIEF_KINDS}")
+        if self.belief_kind not in _BELIEFS:
+            raise ConfigurationError(
+                f"belief.kind must be one of {BELIEF_KINDS}, got {self.belief_kind!r}"
+            )
+        return _BELIEFS[self.belief_kind](self)
 
     def actions(self) -> tuple[Action, ...]:
         out = []
@@ -78,22 +82,10 @@ class RunConfig:
         return SimConfig(self.problem(), self.sim_paths, self.sim_seed)
 
 
-# config key -> (RunConfig attribute, parser)
+# config key -> (RunConfig attribute, parser): the key is the attribute with
+# its first `_` read as `.`, the parser the type of its default
 _KEYS = {
-    "market.u": ("market_u", float),
-    "market.d": ("market_d", float),
-    "market.p": ("market_p", float),
-    "market.initial_wealth": ("market_initial_wealth", float),
-    "problem.horizon": ("problem_horizon", int),
-    "problem.actions": ("problem_actions", str),
-    "problem.discount": ("problem_discount", float),
-    "belief.kind": ("belief_kind", str),
-    "belief.q0": ("belief_q0", float),
-    "belief.confidence": ("belief_confidence", float),
-    "belief.alpha": ("belief_alpha", float),
-    "belief.beta": ("belief_beta", float),
-    "sim.paths": ("sim_paths", int),
-    "sim.seed": ("sim_seed", int),
+    f.name.replace("_", ".", 1): (f.name, type(f.default)) for f in fields(RunConfig)
 }
 
 
@@ -127,10 +119,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.belief_kind not in BELIEF_KINDS:
-        raise ConfigurationError(
-            f"belief.kind must be one of {BELIEF_KINDS}, got {cfg.belief_kind!r}"
-        )
     try:
         cfg.market()
         cfg.problem()
@@ -155,8 +143,5 @@ def _render(value) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Emit a config that reparses to an identical RunConfig."""
-    attr_to_key = {attr: key for key, (attr, _) in _KEYS.items()}
-    lines = []
-    for f in fields(cfg):
-        lines.append(f"{attr_to_key[f.name]} = {_render(getattr(cfg, f.name))}")
+    lines = [f"{key} = {_render(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
     return "\n".join(lines) + "\n"

@@ -20,9 +20,15 @@ from .actions import Move, check_ticks
 from .errors import ResourceLimitError, ValidationError
 
 
-def max_enum_horizon() -> int:
-    """Largest horizon enumerate_paths (2^20 paths) and price_process accept."""
-    return 20
+# largest horizon enumerate_paths (2^20 paths) and price_process accept
+MAX_ENUM_HORIZON = 20
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    if horizon > MAX_ENUM_HORIZON:
+        raise ResourceLimitError(f"horizon {horizon} exceeds bound {MAX_ENUM_HORIZON}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,7 @@ def enumerate_paths(
     Each probability is the left-to-right product of its moves' weights,
     taken one move at a time across all paths at once.
     """
-    bound = max_enum_horizon()
-    if horizon > bound:
-        raise ResourceLimitError(
-            f"enumeration horizon {horizon} exceeds bound {bound}"
-        )
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    _check_horizon(horizon)
     p = model.p_up
     probs = np.ones(1)
     for _ in range(horizon):
@@ -123,11 +123,7 @@ def price_process(
     the dividend depends on the action; with action-independent dividends
     the recursion degenerates to a plain expectation.
     """
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    bound = max_enum_horizon()
-    if horizon > bound:
-        raise ResourceLimitError(f"horizon {horizon} exceeds bound {bound}")
+    _check_horizon(horizon)
     if not actions:
         raise ValidationError("actions must be non-empty")
     p = model.p_up

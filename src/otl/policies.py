@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .actions import LONG, Action, Direction, Move
+from .actions import LONG, NEUTRAL, Action, Direction, Move
 from .beliefs import Belief
 from .errors import ConfigurationError
 from .mdp import DecisionProblem, QTable, solve_q
@@ -43,14 +43,8 @@ class CutLoss(Policy):
 
     name = "cutloss"
 
-    def __init__(self, long: Action, neutral: Action):
-        self._long = long
-        self._neutral = neutral
-
     def decide(self, t, belief, last_move, losing_streak) -> Action:
-        if last_move is Move.DOWN:
-            return self._neutral
-        return self._long
+        return NEUTRAL if last_move is Move.DOWN else LONG
 
 
 # the average-down stake ladder: long 1, 2, 4, ..., 64
@@ -77,16 +71,13 @@ class BuyHold(Policy):
         return LONG
 
 
-POLICY_KINDS = ("bellman", "cutloss", "avgdown", "buyhold")
-
-
-def _find_action(problem: DecisionProblem, direction: Direction) -> Action:
-    for a in problem.action_set:
-        if a.direction is direction and a.size == 1:
-            return a
-    raise ConfigurationError(
-        f"policy requires a unit {direction.value} action, absent from the action set"
-    )
+# heuristic kind -> (policy class, the unit actions it plays)
+_HEURISTICS = {
+    "cutloss": (CutLoss, (LONG, NEUTRAL)),
+    "avgdown": (AverageDown, (LONG,)),
+    "buyhold": (BuyHold, (LONG,)),
+}
+POLICY_KINDS = ("bellman", *_HEURISTICS)
 
 
 def make_policy(kind: str, problem: DecisionProblem) -> Policy:
@@ -94,15 +85,12 @@ def make_policy(kind: str, problem: DecisionProblem) -> Policy:
     the actions it needs; bellman solves the problem's Q-table."""
     if kind == "bellman":
         return BellmanOptimal(solve_q(problem))
-    if kind == "cutloss":
-        return CutLoss(
-            long=_find_action(problem, Direction.LONG),
-            neutral=_find_action(problem, Direction.NEUTRAL),
-        )
-    if kind == "avgdown":
-        _find_action(problem, Direction.LONG)
-        return AverageDown()
-    if kind == "buyhold":
-        _find_action(problem, Direction.LONG)
-        return BuyHold()
-    raise ConfigurationError(f"unknown policy kind: {kind!r}")
+    if kind not in _HEURISTICS:
+        raise ConfigurationError(f"unknown policy kind: {kind!r}")
+    cls, needs = _HEURISTICS[kind]
+    for action in needs:
+        if action not in problem.action_set:
+            raise ConfigurationError(
+                f"policy requires a unit {action} action, absent from the action set"
+            )
+    return cls()

@@ -16,12 +16,16 @@ import numpy as np
 
 from .actions import Action, Move
 from .beliefs import Belief
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
 from .mdp import DecisionProblem
 from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+# bound on n_paths x horizon: every step of every path is kept as a
+# StepRecord, ~143 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
+# ~0.7 GB per policy at the bound; compare keeps one set per policy
+MAX_PATH_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,11 @@ class SimConfig:
             raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.problem.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.problem.horizon}")
+        if self.n_paths * self.problem.horizon > MAX_PATH_STEPS:
+            raise ResourceLimitError(
+                f"n_paths x horizon = {self.n_paths} x {self.problem.horizon} exceeds"
+                f" bound {MAX_PATH_STEPS} retained step records"
+            )
 
 
 @dataclass(slots=True)

@@ -33,8 +33,8 @@ ORACLE_TOL = 1e-9
 class CaseResult:
     description: str
     passed: bool
-    measured: dict = field(default_factory=dict)
     informational: bool = False
+    measured: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -47,27 +47,12 @@ class Report:
         return all(c.passed for c in self.cases if not c.informational)
 
     def add(self, description: str, passed: bool, informational: bool = False, **measured) -> None:
-        self.cases.append(
-            CaseResult(
-                description=description,
-                passed=passed,
-                measured=measured,
-                informational=informational,
-            )
-        )
+        self.cases.append(CaseResult(description, passed, informational, measured))
 
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "cases": [
-                {
-                    "description": c.description,
-                    "passed": c.passed,
-                    "informational": c.informational,
-                    "measured": c.measured,
-                }
-                for c in self.cases
-            ],
+            "cases": [dict(vars(c)) for c in self.cases],
             "overall": self.overall,
         }
 

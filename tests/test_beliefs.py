@@ -102,6 +102,12 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="beta"):
             BetaBernoulli(1, bad)
 
+    def test_beta_rejects_counts_whose_sum_overflows(self):
+        # alpha / (alpha + beta) would read 0.0 where it is 0.5
+        with pytest.raises(ValidationError, match=r"finite sum, got \(1e\+308, 1e\+308\)"):
+            BetaBernoulli(1e308, 1e308)
+        assert BetaBernoulli(8e307, 8e307).predictive() == 0.5
+
     @given(st.floats(0.001, 0.999))
     def test_static_predictive_in_open_interval(self, q):
         assert 0.0 < Static(q).predictive() < 1.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otl.beliefs import belief_id
-from otl.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
 from otl.mdp import solve_q
@@ -124,6 +124,31 @@ class TestSolveCommand:
         dumped = capsys.readouterr().out
         assert parse_config(dumped) == load_config(config_file)
 
+    def test_dump_config_pins_the_keys(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        path.write_text("")
+        assert main(["solve", "--config", str(path), "--dump-config"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "market.u = 10.0",
+            "market.d = -10.0",
+            "market.p = 0.5",
+            "market.initial_wealth = 1000.0",
+            "problem.horizon = 5",
+            "problem.actions = neutral,long,short",
+            "problem.discount = 1.0",
+            "belief.kind = static",
+            "belief.q0 = 0.6",
+            "belief.confidence = 0.6",
+            "belief.alpha = 1.0",
+            "belief.beta = 1.0",
+            "sim.paths = 1000",
+            "sim.seed = 0",
+        ]
+        # the fuzz below draws every key
+        keys = {line.partition(" = ")[0] for line in lines}
+        assert {*_VALID, "problem.horizon", "sim.paths"} == keys
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense.key = 1\n")
@@ -134,6 +159,10 @@ class TestSolveCommand:
         [
             ("market.u = inf\n", "MarketModel u must be finite"),
             ("belief.kind = beta\nbelief.alpha = inf\n", "BetaBernoulli alpha must be finite"),
+            (
+                "belief.kind = beta\nbelief.alpha = 1e308\nbelief.beta = 1e308\nproblem.horizon = 1\n",
+                "BetaBernoulli counts must have a finite sum",
+            ),
         ],
     )
     def test_non_finite_config_exits_2(self, tmp_path, capsys, text, message):
@@ -319,6 +348,30 @@ class TestUnwritableOutputs:
         assert not out.exists()
 
 
+class TestPathStepBound:
+    """sim.paths x horizon past MAX_PATH_STEPS is a resource limit (exit 3),
+    found before any output is opened, so no file is left."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{config}", "--policy", "cutloss",
+             "--out", "{out}", "--stats-out", "{stats}"],
+            ["compare", "--config", "{config}", "--policies", "cutloss,buyhold", "--out", "{out}"],
+        ],
+    )
+    def test_exits_3_before_opening_outputs(self, tmp_path, capsys, argv):
+        path = tmp_path / "big.cfg"
+        path.write_text("problem.horizon = 20\nsim.paths = 250001\n")
+        out, stats = tmp_path / "out.csv", tmp_path / "stats.csv"
+        argv = [a.format(config=path, out=out, stats=stats) for a in argv]
+        assert main(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert "250001 x 20 exceeds bound 5000000" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not stats.exists()
+
+
 class TestNonFiniteStatistics:
     """Ticks so large that wealth, its spread or a paired difference
     overflows float64 are a configuration error (exit 2) naming the policy,
@@ -394,8 +447,8 @@ class TestFuzz:
     only finite numbers, and a failed run leaves no output file.
 
     problem.horizon is drawn from 0-8 and sim.paths from 1-20 so that the
-    fuzz runs in seconds; memory still grows without bound in
-    sim.paths x horizon, which these ranges do not test."""
+    fuzz runs in seconds; the bound on sim.paths x horizon, which these
+    ranges do not reach, is tested by TestPathStepBound."""
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -13,7 +13,7 @@ from otl import (
     enumerate_paths,
     price_process,
 )
-from otl.market import expected_dividend_by_enumeration, max_enum_horizon, sample_moves
+from otl.market import MAX_ENUM_HORIZON, expected_dividend_by_enumeration, sample_moves
 
 
 def model(p=0.5, u=10.0, d=-10.0):
@@ -113,7 +113,7 @@ class TestEnumeratePaths:
 
     def test_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_paths(model(), max_enum_horizon() + 1)
+            enumerate_paths(model(), MAX_ENUM_HORIZON + 1)
 
 
 IDENTITY = DividendSpec(
@@ -162,7 +162,7 @@ class TestPriceProcess:
 
     def test_bound_enforced(self):
         with pytest.raises(ResourceLimitError):
-            price_process(model(), IDENTITY, max_enum_horizon() + 1)
+            price_process(model(), IDENTITY, MAX_ENUM_HORIZON + 1)
 
 
 class TestModelValidation:

@@ -19,7 +19,8 @@ from otl import (
     run,
     summarize,
 )
-from otl.sim import SimConfig, StepRecord, WealthPath, replay
+from otl.errors import ResourceLimitError
+from otl.sim import MAX_PATH_STEPS, SimConfig, StepRecord, WealthPath, replay
 
 TICKS = (10.0, -10.0)
 
@@ -100,6 +101,13 @@ class TestRun:
     def test_zero_paths_rejected(self):
         with pytest.raises(ValidationError):
             cfg(0, 5)
+
+    @pytest.mark.parametrize("horizon", [1, 7, 20])
+    def test_path_steps_bounded(self, horizon):
+        at_bound = MAX_PATH_STEPS // horizon
+        assert cfg(at_bound, horizon).n_paths == at_bound
+        with pytest.raises(ResourceLimitError, match=f"exceeds bound {MAX_PATH_STEPS}"):
+            cfg(at_bound + 1, horizon)
 
     def test_mc_matches_exact_enumeration(self):
         # oracle: replay the policy over every enumerated path, weight by its
