@@ -9,15 +9,24 @@ Three belief kinds are shipped:
   posterior mean.
 
 Beliefs are immutable values; ``update`` returns a new belief.
+
+``Belief.lattice`` gives the beliefs reachable at each t of a horizon, as
+the solver and the Q-table export read them: ``BetaBernoulli`` with float
+counts builds it in closed form, every other belief by the forward closure
+over ``update``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .actions import Action, Move, check_ticks
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,12 @@ class Belief:
     def update(self, observed: Move) -> "Belief":
         """Condition on one observed move; returns a new belief."""
         raise NotImplementedError
+
+    def lattice(self, T: int, max_states: int) -> "Lattice":
+        """The beliefs reachable from this one at t = 0..T. This is the
+        generic forward closure over `update`; `BetaBernoulli` overrides it
+        with a closed form that builds the same lattice."""
+        return _closure(self, T, max_states)
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,25 @@ class BetaBernoulli(Belief):
             return BetaBernoulli(self.alpha + 1, self.beta)
         return BetaBernoulli(self.alpha, self.beta + 1)
 
+    def lattice(self, T: int, max_states: int) -> "Lattice":
+        """Closed form: row k of layer t is Beta(alpha_(t-k), beta_k), where
+        alpha_j and beta_k are the prior counts plus 1 added j and k times
+        in turn, as `update` adds it. The generic closure is used instead
+        when a count is not a float, or when one stops growing (at 2**53,
+        `a + 1 == a`) and the closure would merge rows."""
+        priors = (self.alpha, self.beta)
+        if not all(type(c) is float for c in priors):
+            return super().lattice(T, max_states)
+        _check_states(T + 1, T, max_states)  # every layer has at least one row
+        counts = [np.add.accumulate(np.concatenate(([c], np.ones(T)))) for c in priors]
+        if not all((seq[1:] > seq[:-1]).all() for seq in counts):
+            return super().lattice(T, max_states)
+        return _BetaCounts(counts, T, max_states)
+
+
+def _beta_id(alpha: float, beta: float) -> str:
+    return f"beta({alpha!r},{beta!r})"
+
 
 def expected_step_reward(belief: Belief, action: Action, ticks: tuple[float, float]) -> float:
     """One-step expected profit of holding `action` under `belief`.
@@ -129,5 +163,121 @@ def belief_id(belief: Belief) -> str:
     if isinstance(belief, Mirror):
         return f"mirror({belief.confidence!r},{belief.favored.value})"
     if isinstance(belief, BetaBernoulli):
-        return f"beta({belief.alpha!r},{belief.beta!r})"
+        return _beta_id(belief.alpha, belief.beta)
     raise ValidationError(f"unknown belief kind: {belief!r}")
+
+
+def _check_states(n: int, T: int, max_states: int) -> None:
+    if n > max_states:
+        raise ResourceLimitError(
+            f"belief lattice exceeds {max_states} stage states at horizon {T}"
+        )
+
+
+class Lattice:
+    """The beliefs reachable at t = 0..T from one initial belief, one layer
+    per t. A layer lists its beliefs in forward-closure order: from each
+    row in turn, its up child and then its down child take the next free
+    row of layer t + 1 the first time they are reached. Subclasses give:
+
+    * ``predictive(t)``: float64 ``(sizes[t],)``, each row's up-probability;
+    * ``up(t)``, ``down(t)``: intp ``(sizes[t],)``, the row of each row's up
+      and down child in layer t + 1 (t < T);
+    * ``row(t, belief)``: the belief's row, or None if it is not in layer t
+      (another kind, counts never reached, or t outside 0..T);
+    * ``beliefs(t)``: the beliefs in row order.
+
+    ``sizes[t]`` is the number of rows of layer t, and ``ids(t)`` the
+    `belief_id` of each row. A lattice of more than `max_states` rows in
+    all raises `ResourceLimitError` before it is built.
+    """
+
+    def __init__(self, T: int, sizes: Sequence[int]):
+        self.T = T
+        self.sizes = sizes
+
+    def ids(self, t: int) -> list[str]:
+        return list(map(belief_id, self.beliefs(t)))
+
+
+class _Layers(Lattice):
+    """One `{belief: row}` dict per layer, and the up and down child rows of
+    every layer t < T in two flat arrays, layer after layer."""
+
+    def __init__(self, rows: list[dict], up: np.ndarray, down: np.ndarray):
+        self._rows, self._up, self._down = rows, up, down
+        sizes = [len(r) for r in rows]
+        self._start = np.array([0, *itertools.accumulate(sizes)])
+        super().__init__(len(rows) - 1, sizes)
+
+    def predictive(self, t: int) -> np.ndarray:
+        return np.array([b.predictive() for b in self._rows[t]])
+
+    def up(self, t: int) -> np.ndarray:
+        return self._up[self._start[t] : self._start[t + 1]]
+
+    def down(self, t: int) -> np.ndarray:
+        return self._down[self._start[t] : self._start[t + 1]]
+
+    def row(self, t: int, belief: Belief) -> int | None:
+        return self._rows[t].get(belief) if 0 <= t <= self.T else None
+
+    def beliefs(self, t: int) -> list[Belief]:
+        return list(self._rows[t])
+
+
+def _closure(b0: Belief, T: int, max_states: int) -> Lattice:
+    """The forward closure of b0 over `Belief.update`."""
+    _check_states(T + 1, T, max_states)  # every layer has at least one row
+    rows: list[dict[Belief, int]] = [{b0: 0}]
+    ups: list[int] = []
+    dns: list[int] = []
+    n_states = 1
+    for _ in range(T):
+        nxt: dict[Belief, int] = {}
+        for b in rows[-1]:
+            ups.append(nxt.setdefault(b.update(Move.UP), len(nxt)))
+            dns.append(nxt.setdefault(b.update(Move.DOWN), len(nxt)))
+        rows.append(nxt)
+        n_states += len(nxt)
+        _check_states(n_states, T, max_states)
+    return _Layers(rows, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
+
+
+class _BetaCounts(Lattice):
+    """Row k of layer t is Beta(alphas[t - k], betas[k]); its up child is
+    row k and its down child row k + 1 of layer t + 1. `counts` are the
+    float64 alpha and beta sequences, strictly increasing."""
+
+    def __init__(self, counts: list[np.ndarray], T: int, max_states: int):
+        _check_states((T + 1) * (T + 2) // 2, T, max_states)
+        self._alphas, self._betas = counts
+        self._a, self._b = (seq.tolist() for seq in counts)
+        self._alpha_at = {a: j for j, a in enumerate(self._a)}
+        self._beta_at = {b: k for k, b in enumerate(self._b)}
+        self._rows = np.arange(T + 2, dtype=np.intp)
+        super().__init__(T, range(1, T + 2))
+
+    def predictive(self, t: int) -> np.ndarray:
+        a = self._alphas[t::-1]
+        b = self._betas[: t + 1]
+        return a / (a + b)
+
+    def up(self, t: int) -> np.ndarray:
+        return self._rows[: t + 1]
+
+    def down(self, t: int) -> np.ndarray:
+        return self._rows[1 : t + 2]
+
+    def row(self, t: int, belief: Belief) -> int | None:
+        if type(belief) is not BetaBernoulli or not 0 <= t <= self.T:
+            return None
+        j = self._alpha_at.get(belief.alpha)
+        k = self._beta_at.get(belief.beta)
+        return k if j is not None and k is not None and j + k == t else None
+
+    def beliefs(self, t: int) -> list[Belief]:
+        return list(map(BetaBernoulli, self._a[t::-1], self._b[: t + 1]))
+
+    def ids(self, t: int) -> list[str]:
+        return list(map(_beta_id, self._a[t::-1], self._b[: t + 1]))

@@ -16,7 +16,6 @@ from dataclasses import astuple, fields
 from typing import IO, Iterator, Optional, Sequence
 
 from . import verify as verify_mod
-from .beliefs import belief_id
 from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .mdp import solve_q
@@ -140,32 +139,38 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
     with _outputs(args.out) as (out,):
-        _export_qtable(solve_q(cfg.problem()), csv.writer(out) if out else None)
+        _export_qtable(solve_q(cfg.problem()), out)
     return EXIT_OK
 
 
-def _export_qtable(table, writer) -> None:
-    """Print the Q-table and, given a csv writer, write it as CSV too, in
-    one pass over the lattice layers: per t, beliefs in belief_id order,
-    one line per action, then the stage's argmax line."""
+def _export_qtable(table, out: Optional[IO[str]]) -> None:
+    """Print the Q-table and, given a file, write it as CSV too, in one pass
+    over the lattice layers: per t, beliefs in belief_id order, one line per
+    action, then the stage's argmax line. The CSV is what csv.writer would
+    write (QUOTE_MINIMAL, \\r\\n line ends): a belief_id is quoted when it
+    contains a comma, and none contains a quote or a line break."""
     names = [str(a) for a in table.problem.action_set]
-    if writer is not None:
-        writer.writerow(QTABLE_CSV_COLUMNS)
+    n = len(names)
+    if out is not None:
+        out.write(",".join(QTABLE_CSV_COLUMNS) + "\r\n")
     for t in range(table.problem.horizon):
-        ids = [belief_id(b) for b in table.rows[t]]
-        qs = table.qs[t].tolist()
+        ids = table.lattice.ids(t)
+        # the repr of a list of floats is the repr of each one
+        qs = repr(table.qs[t].ravel().tolist())[1:-1].split(", ")
         best = table.best[t].tolist()
         lines = []
-        csv_rows = []
+        csv_lines = []
         for i in sorted(range(len(ids)), key=ids.__getitem__):
             prefix = f"t={t}, belief={ids[i]}"
-            for j, (name, q) in enumerate(zip(names, map(_num, qs[i]))):
+            cell = f'"{ids[i]}"' if "," in ids[i] else ids[i]
+            for j, name in enumerate(names):
+                q = qs[i * n + j]
                 lines.append(f"{prefix}, {name}, {q}\n")
-                csv_rows.append([t, ids[i], name, q, int(j == best[i])])
+                csv_lines.append(f"{t},{cell},{name},{q},{int(j == best[i])}\r\n")
             lines.append(f"{prefix} -> {names[best[i]]}\n")
         sys.stdout.write("".join(lines))
-        if writer is not None:
-            writer.writerows(csv_rows)
+        if out is not None:
+            out.write("".join(csv_lines))
 
 
 def _parse_policy_name(name: str) -> str:

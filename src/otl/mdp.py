@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move, check_ticks
-from .beliefs import Belief
-from .errors import ResourceLimitError, UnreachableStateError, ValidationError
+from .actions import LONG, NEUTRAL, SHORT, Action, check_ticks
+from .beliefs import Belief, Lattice
+from .errors import UnreachableStateError, ValidationError
 
 DEFAULT_ACTIONS: tuple[Action, ...] = (NEUTRAL, LONG, SHORT)
 
@@ -80,8 +80,8 @@ class QTable:
     """Solved subjective Q-values over every reachable stage state, stored
     per decision time t (one lattice layer per t, T = problem.horizon):
 
-    * ``rows[t]``: ``{belief: row}`` over the beliefs reachable at t, in
-      forward-closure order, so row i is the i-th key;
+    * ``lattice``: the reachable beliefs (`beliefs.Lattice`); row i of
+      layer t is the i-th of ``lattice.beliefs(t)``;
     * ``qs[t]``: float64 ``(n_t, |A|)`` Q-values, columns in action_set
       order (t < T);
     * ``vs[t]``: float64 ``(n_t,)`` values, all zero at t = T;
@@ -92,7 +92,7 @@ class QTable:
     """
 
     problem: DecisionProblem
-    rows: list[dict[Belief, int]] = field(repr=False)
+    lattice: Lattice = field(repr=False)
     qs: list[np.ndarray] = field(repr=False)
     vs: list[np.ndarray] = field(repr=False)
     best: list[np.ndarray] = field(repr=False)
@@ -105,36 +105,34 @@ class QTable:
     @property
     def values(self) -> Mapping[tuple[int, Belief], float]:
         """``{(t, belief): value}``, latest t first."""
-        rows = self.rows
+        lattice = self.lattice
         return _TableView(
             self.value,
-            lambda: ((t, b) for t in range(len(rows) - 1, -1, -1) for b in rows[t]),
-            sum(map(len, rows)),
+            lambda: ((t, b) for t in range(lattice.T, -1, -1) for b in lattice.beliefs(t)),
+            sum(lattice.sizes),
         )
 
     @property
     def entries(self) -> Mapping[tuple[int, Belief, Action], float]:
         """``{(t, belief, action): Q}`` for t < horizon, latest t first."""
-        T, rows, actions = len(self.qs), self.rows, self.problem.action_set
+        lattice, actions = self.lattice, self.problem.action_set
+        T = lattice.T
         return _TableView(
             self.q,
-            lambda: ((t, b, a) for t in range(T - 1, -1, -1) for b in rows[t] for a in actions),
-            sum(map(len, rows[:T])) * len(actions),
+            lambda: (
+                (t, b, a) for t in range(T - 1, -1, -1) for b in lattice.beliefs(t) for a in actions
+            ),
+            sum(lattice.sizes[:T]) * len(actions),
         )
 
-    def _row(self, t: int, belief: Belief) -> int | None:
-        if t < 0 or t >= len(self.rows):
-            return None
-        return self.rows[t].get(belief)
-
     def reachable_beliefs(self, t: int) -> list[Belief]:
-        if t < 0 or t >= len(self.rows):
+        if t < 0 or t > self.lattice.T:
             return []
-        return list(self.rows[t])
+        return self.lattice.beliefs(t)
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
         col = self._columns.get(action)
-        row = self._row(t, belief) if t < len(self.qs) else None
+        row = self.lattice.row(t, belief) if t < len(self.qs) else None
         if row is None or col is None:
             raise UnreachableStateError(
                 f"no Q entry for t={t}, belief={belief}, action={action}"
@@ -142,7 +140,7 @@ class QTable:
         return float(self.qs[t][row, col])
 
     def value(self, t: int, belief: Belief) -> float:
-        row = self._row(t, belief)
+        row = self.lattice.row(t, belief)
         if row is None:
             raise UnreachableStateError(
                 f"stage state (t={t}, belief={belief}) was never reached"
@@ -154,7 +152,7 @@ class QTable:
         in the problem's action_set order."""
         if t >= self.problem.horizon:
             raise UnreachableStateError(f"t={t} is at or past the horizon")
-        row = self._row(t, belief)
+        row = self.lattice.row(t, belief)
         if row is None:
             raise UnreachableStateError(
                 f"stage state (t={t}, belief={belief}) was never reached"
@@ -165,38 +163,19 @@ class QTable:
 def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTable:
     """Solve the subjective Bellman recursion by backward induction.
 
-    Reachable beliefs at each t are the forward closure of the initial belief
-    under per-move updating; the belief transition is independent of the
-    action (the market is exogenous), so the continuation value after a move
-    is shared by every action. The closure records each state's up and down
+    Reachable beliefs at each t form the lattice of the initial belief
+    (`Belief.lattice`); the belief transition is independent of the action
+    (the market is exogenous), so the continuation value after a move is
+    shared by every action. The lattice gives each state's up and down
     child rows, and the backward pass is then one broadcast over
     (states x actions) per layer, in the float expression order of the
     scalar recursion, so every Q-value is bit-identical to it.
     """
     T = problem.horizon
-    rows: list[dict[Belief, int]] = [{problem.initial_belief: 0}]
-    up_rows: list[np.ndarray] = []
-    dn_rows: list[np.ndarray] = []
-    n_states = 1
-    for _ in range(T):
-        nxt: dict[Belief, int] = {}
-        ups: list[int] = []
-        dns: list[int] = []
-        for b in rows[-1]:
-            ups.append(nxt.setdefault(b.update(Move.UP), len(nxt)))
-            dns.append(nxt.setdefault(b.update(Move.DOWN), len(nxt)))
-        rows.append(nxt)
-        up_rows.append(np.array(ups, dtype=np.intp))
-        dn_rows.append(np.array(dns, dtype=np.intp))
-        n_states += len(nxt)
-        if n_states > max_states:
-            raise ResourceLimitError(
-                f"belief lattice exceeds {max_states} stage states at horizon {T}"
-            )
-
+    lattice = problem.initial_belief.lattice(T, max_states)
     u, d = problem.ticks
     actions = problem.action_set
-    v = np.zeros(len(rows[T]))
+    v = np.zeros(lattice.sizes[T])
     qs: list[np.ndarray] = []
     best: list[np.ndarray] = []
     vs = [v]
@@ -206,9 +185,9 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
             disc = problem.per_step_discount**t
             r_up = np.array([disc * a.stake * u for a in actions])
             r_dn = np.array([disc * a.stake * d for a in actions])
-            q_up = np.array([b.predictive() for b in rows[t]])[:, None]
-            v_up = v[up_rows[t]][:, None]
-            v_dn = v[dn_rows[t]][:, None]
+            q_up = lattice.predictive(t)[:, None]
+            v_up = v[lattice.up(t)][:, None]
+            v_dn = v[lattice.down(t)][:, None]
             q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
             if not np.isfinite(q).all():
                 raise ValidationError(
@@ -225,4 +204,4 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     qs.reverse()
     best.reverse()
     vs.reverse()
-    return QTable(problem=problem, rows=rows, qs=qs, vs=vs, best=best)
+    return QTable(problem=problem, lattice=lattice, qs=qs, vs=vs, best=best)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from otl import (
     LONG,
@@ -12,10 +12,13 @@ from otl import (
     Direction,
     Mirror,
     Move,
+    ResourceLimitError,
     Static,
     ValidationError,
+    belief_id,
     expected_step_reward,
 )
+from otl.beliefs import Belief
 
 TICKS = (10.0, -10.0)
 
@@ -145,3 +148,107 @@ class TestInvariants:
         long_ev = expected_step_reward(flipped, LONG, TICKS)
         short_ev = expected_step_reward(flipped, SHORT, TICKS)
         assert long_ev < 0 < short_ev
+
+
+def assert_same_lattice(b0, T):
+    """b0's own lattice equals the generic forward closure (the base-class
+    `Belief.lattice`), row for row and bit for bit. Only float beta counts
+    have a closed form; for every other belief both are the closure, and
+    this checks its ids and rows."""
+    closed = b0.lattice(T, 10**6)
+    oracle = Belief.lattice(b0, T, 10**6)
+    assert list(closed.sizes) == list(oracle.sizes)
+    for t in range(T + 1):
+        layer = oracle.beliefs(t)
+        assert closed.beliefs(t) == layer
+        # ids tell an int count from a float one, and repr is exact
+        assert closed.ids(t) == oracle.ids(t) == [belief_id(b) for b in layer]
+        assert [closed.row(t, b) for b in layer] == list(range(len(layer)))
+        if t < T:
+            assert [x.hex() for x in closed.predictive(t).tolist()] == [
+                x.hex() for x in oracle.predictive(t).tolist()
+            ]
+            assert closed.up(t).tolist() == oracle.up(t).tolist()
+            assert closed.down(t).tolist() == oracle.down(t).tolist()
+
+
+SHIPPED = [
+    Static(0.6),
+    Static(0.35),
+    Mirror(0.7, Move.UP),
+    Mirror(0.7, Move.DOWN),
+    Mirror(0.5, Move.UP),
+    Mirror(0.5, Move.DOWN),
+    BetaBernoulli(1.0, 1.0),
+    BetaBernoulli(1 / 3, 1 / 3),
+    BetaBernoulli(1e-3, 1e-3),
+    BetaBernoulli(0.1, 2.7),
+    BetaBernoulli(2.7, 0.1),
+    BetaBernoulli(3, 2),  # int counts: the closure, ints kept in ids
+    BetaBernoulli(1, 2.5),
+    BetaBernoulli(2.0**53 - 2, 1.0),  # alpha saturates within the horizon
+    BetaBernoulli(2.0**53, 2.0**53),  # both counts saturated from the start
+    BetaBernoulli(2**53, 1),
+]
+
+# beta counts the closed form does not take
+FALLBACK = [
+    BetaBernoulli(2.0**53 - 2, 1.0),
+    BetaBernoulli(2.0**53, 2.0**53),
+    BetaBernoulli(2**53, 1),
+    BetaBernoulli(3, 2),
+    BetaBernoulli(1, 2.5),
+]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    def test_closed_form_matches_closure(self, b0):
+        for T in range(41):
+            assert_same_lattice(b0, T)
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_beta_sweep(self, alpha, beta, T):
+        assert_same_lattice(BetaBernoulli(alpha, beta), T)
+
+    @pytest.mark.parametrize("b0", FALLBACK, ids=repr)
+    def test_saturated_or_non_float_counts_use_the_closure(self, b0):
+        closure = type(Belief.lattice(b0, 10, 10**6))
+        assert type(b0.lattice(10, 10**6)) is closure
+        assert type(BetaBernoulli(1.0, 1.0).lattice(10, 10**6)) is not closure
+
+    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    def test_rows_of_absent_beliefs_are_none(self, b0):
+        T = 6
+        lattice = b0.lattice(T, 10**6)
+        assert lattice.row(-1, b0) is None
+        assert lattice.row(T + 1, b0) is None
+        for other in (Static(0.45), Mirror(0.55, Move.UP), BetaBernoulli(0.7, 0.9)):
+            for t in range(T + 1):
+                assert lattice.row(t, other) is None
+
+    @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
+    def test_beta_rows_reached_at_another_t_are_none(self, b0):
+        T = 6
+        lattice = b0.lattice(T, 10**6)
+        for t in range(T + 1):
+            for s in range(T + 1):
+                for b in lattice.beliefs(s):
+                    assert (lattice.row(t, b) is None) == (s != t)
+
+    @pytest.mark.parametrize(
+        "b0,T,max_states",
+        [
+            (BetaBernoulli(1.0, 1.0), 1412, 10**6),
+            (BetaBernoulli(3, 2), 12, 100),
+            (Static(0.6), 99, 100),
+            (Mirror(0.6), 50, 101),
+        ],
+        ids=repr,
+    )
+    def test_size_bound(self, b0, T, max_states):
+        # T is the longest horizon whose lattice fits in max_states
+        assert sum(b0.lattice(T, max_states).sizes) <= max_states
+        with pytest.raises(ResourceLimitError, match=f"exceeds {max_states} stage states"):
+            b0.lattice(T + 1, max_states)

@@ -55,8 +55,9 @@ def test_solve(tmp_path):
     assert counts["mdp.q_entries"] == 3 * T * (T + 1) // 2
     assert calls["mdp.solve_q"] == 1
     assert calls["config.load_config"] == 1
-    assert calls["beliefs.BetaBernoulli.update"] > 0
-    assert calls["beliefs.BetaBernoulli.predictive"] > 0
+    # the beta lattice is built in closed form, with no Belief per state
+    assert calls["beliefs.BetaBernoulli.update"] == 0
+    assert calls["beliefs.BetaBernoulli.predictive"] == 0
 
 
 @pytest.mark.parametrize("policy,decide", [("cutloss", "CutLoss"), ("avgdown", "AverageDown")])
@@ -81,6 +82,8 @@ def test_compare(tmp_path):
     assert _decisions(counts) == 3 * PATHS * T
     assert calls["market.sample_moves"] == 3 * PATHS
     assert calls["mdp.QTable.optimal_action"] == PATHS * T
+    # sim.replay updates the belief on every step of every policy
+    assert calls["beliefs.BetaBernoulli.update"] == 3 * PATHS * T
     assert calls["sim.compare"] == calls["mdp.solve_q"] == 1
     assert calls["sim.run"] == 3
 

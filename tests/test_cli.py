@@ -372,6 +372,19 @@ class TestPathStepBound:
         assert not out.exists() and not stats.exists()
 
 
+class TestStageStateBound:
+    def test_oversized_lattice_exits_3(self, tmp_path, capsys):
+        # Beta(1,1) at T=1414 has 1,001,820 stage states, past MAX_STAGE_STATES
+        path = tmp_path / "big.cfg"
+        path.write_text("problem.horizon = 1414\nbelief.kind = beta\n")
+        out = tmp_path / "q.csv"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert "belief lattice exceeds 1000000 stage states at horizon 1414" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestNonFiniteStatistics:
     """Ticks so large that wealth, its spread or a paired difference
     overflows float64 are a configuration error (exit 2) naming the policy,

@@ -16,6 +16,16 @@ SOLVE_CONFIG = (
     "market.u = 10\nmarket.d = -10\nmarket.p = 0.45\n"
     "problem.horizon = 8\nbelief.kind = beta\nbelief.alpha = 3\nbelief.beta = 2\n"
 )
+STATIC_CONFIG = (
+    "market.u = 10\nmarket.d = -10\nmarket.p = 0.45\n"
+    "problem.horizon = 8\nbelief.kind = static\nbelief.q0 = 0.55\n"
+)
+# a non-default action order, and belief ids that hold a comma (quoted in the CSV)
+MIRROR_CONFIG = (
+    "market.u = 10\nmarket.d = -10\nmarket.p = 0.45\n"
+    "problem.horizon = 8\nproblem.actions = long,neutral\n"
+    "belief.kind = mirror\nbelief.confidence = 0.6\n"
+)
 SIM_CONFIG = (
     "market.u = 10\nmarket.d = -10\nmarket.p = 0.45\n"
     "problem.horizon = 10\nbelief.kind = beta\nbelief.alpha = 3\nbelief.beta = 2\n"
@@ -25,6 +35,8 @@ SIM_CONFIG = (
 # case -> (config text or None, argv with {config} and {out:<name>} holes)
 CASES = {
     "solve": (SOLVE_CONFIG, ["solve", "--config", "{config}", "--out", "{out:qtable}"]),
+    "solve-static": (STATIC_CONFIG, ["solve", "--config", "{config}", "--out", "{out:qtable}"]),
+    "solve-mirror": (MIRROR_CONFIG, ["solve", "--config", "{config}", "--out", "{out:qtable}"]),
     **{
         f"simulate-{policy}": (
             SIM_CONFIG,
@@ -72,6 +84,14 @@ GOLDEN = {
     "solve": {
         "qtable": "122242352700f3becc099530b7d614e53aa22202c01642d70c9901e302316485",
         "stdout": "021f5922c5e8bd9df5bbff3030846949898de1122b2516896c75bfbb187aefaf",
+    },
+    "solve-mirror": {
+        "qtable": "9b0e4ca7eb5d0fd6982447543c334e59b125ec3a36d39684f4a13be7eb4f85b1",
+        "stdout": "4cd8f7d5a823d8bdbad90224f49b91a28699e8b8d703d2eb9acf4ae7907479ee",
+    },
+    "solve-static": {
+        "qtable": "cbe394c7f29036dd48781f4b3ff984fb55f2e51bed1c41e453c9e8230c5c5d8c",
+        "stdout": "427386c894b127165974ebcb72c6b902a0343b8b23828be31b8189da10554f45",
     },
     "verify": {
         "report": "6298ce55b3ece103ed8081f3e6f4b6c18a5654a15aa5eb265a68508d613a18b5",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +131,22 @@ class TestValidation:
     def test_state_budget_enforced(self):
         with pytest.raises(ResourceLimitError):
             solve_q(problem(100, BetaBernoulli(1, 1)), max_states=50)
+
+    @pytest.mark.parametrize(
+        "belief,T",
+        [(BetaBernoulli(1.0, 1.0), 1414), (Mirror(0.6), 1_000_000), (Static(0.6), 1_000_000)],
+    )
+    def test_oversized_lattice_rejected_before_it_is_built(self, belief, T):
+        # beta: 1,001,820 states, known from the closed form; the closure
+        # knows only that each of the T + 1 layers holds a belief
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="exceeds 1000000 stage states"):
+                solve_q(problem(T, belief))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 BELIEFS = [Static(0.6), Static(0.35), Mirror(0.7, Move.UP), BetaBernoulli(3, 2)]
@@ -298,12 +315,12 @@ class TestTableLayout:
     def test_layers_rows_and_arrays(self):
         b = BetaBernoulli(3, 2)
         table = solve_q(problem(4, b))
-        assert len(table.rows) == 5
-        for t, rows in enumerate(table.rows):
+        assert list(table.lattice.sizes) == [1, 2, 3, 4, 5]
+        for t in range(5):
             # closure order: from each belief, its up child before its down child
             layer = [BetaBernoulli(3 + t - k, 2 + k) for k in range(t + 1)]
             assert table.reachable_beliefs(t) == layer
-            assert rows == {belief: i for i, belief in enumerate(layer)}
+            assert [table.lattice.row(t, belief) for belief in layer] == list(range(t + 1))
             assert table.vs[t].shape == (len(layer),)
             if t < 4:
                 assert table.qs[t].shape == (len(layer), 3)
