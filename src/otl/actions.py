@@ -62,12 +62,22 @@ class Action:
         return f"{self.direction.value}x{self.size}"
 
 
+def check_finite(value: float, name: str) -> None:
+    """Raise unless value is a finite float64 (an int beyond its range is
+    not); `name` names the value in the message."""
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:
+        value = "an int beyond float64"
+    raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def check_ticks(u: float, d: float, owner: str) -> None:
     """Raise unless (u, d) are finite ticks with u > 0 > d; `owner` names
     the ticks in the message, e.g. "MarketModel" or "DecisionProblem ticks"."""
-    for name, tick in (("u", u), ("d", d)):
-        if not math.isfinite(tick):
-            raise ValidationError(f"{owner} {name} must be finite, got {tick}")
+    check_finite(u, f"{owner} u")
+    check_finite(d, f"{owner} d")
     if not u > 0 > d:
         raise ValidationError(f"{owner} must satisfy u > 0 > d, got ({u}, {d})")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, Move, check_ticks
+from .actions import Action, Move, check_finite, check_ticks
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -102,17 +102,19 @@ class BetaBernoulli(Belief):
     beta: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            name = "beta" if 0 < self.alpha < math.inf else "alpha"
-            raise ValidationError(
-                f"BetaBernoulli {name} must be finite and > 0,"
-                f" got ({self.alpha}, {self.beta})"
-            )
-        # predictive() divides by the sum, which must not overflow
-        if not math.isfinite(self.alpha + self.beta):
-            raise ValidationError(
-                f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
-            )
+        # every update() pays this one test; predictive() divides by the sum
+        try:
+            if self.alpha > 0 and self.beta > 0 and math.isfinite(self.alpha + self.beta):
+                return
+        except OverflowError:  # an int sum beyond float64
+            pass
+        for name, count in (("alpha", self.alpha), ("beta", self.beta)):
+            check_finite(count, f"BetaBernoulli {name}")
+            if not count > 0:
+                raise ValidationError(f"BetaBernoulli {name} must be > 0, got {count}")
+        raise ValidationError(
+            f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
+        )
 
     def predictive(self) -> float:
         return self.alpha / (self.alpha + self.beta)
@@ -185,11 +187,11 @@ class Lattice:
       and down child in layer t + 1 (t < T);
     * ``row(t, belief)``: the belief's row, or None if it is not in layer t
       (another kind, counts never reached, or t outside 0..T);
-    * ``beliefs(t)``: the beliefs in row order.
+    * ``beliefs(t)``: the beliefs in row order, [] for t outside 0..T.
 
     ``sizes[t]`` is the number of rows of layer t, and ``ids(t)`` the
-    `belief_id` of each row. A lattice of more than `max_states` rows in
-    all raises `ResourceLimitError` before it is built.
+    `belief_id` of each row ([] for t outside 0..T). A lattice of more than
+    `max_states` rows in all raises `ResourceLimitError` before it is built.
     """
 
     def __init__(self, T: int, sizes: Sequence[int]):
@@ -223,7 +225,7 @@ class _Layers(Lattice):
         return self._rows[t].get(belief) if 0 <= t <= self.T else None
 
     def beliefs(self, t: int) -> list[Belief]:
-        return list(self._rows[t])
+        return list(self._rows[t]) if 0 <= t <= self.T else []
 
 
 def _closure(b0: Belief, T: int, max_states: int) -> Lattice:
@@ -276,8 +278,14 @@ class _BetaCounts(Lattice):
         k = self._beta_at.get(belief.beta)
         return k if j is not None and k is not None and j + k == t else None
 
+    def _counts(self, t: int) -> tuple[list[float], list[float]]:
+        """The alpha and beta counts of layer t's rows (none outside 0..T)."""
+        if not 0 <= t <= self.T:
+            return [], []
+        return self._a[t::-1], self._b[: t + 1]
+
     def beliefs(self, t: int) -> list[Belief]:
-        return list(map(BetaBernoulli, self._a[t::-1], self._b[: t + 1]))
+        return list(map(BetaBernoulli, *self._counts(t)))
 
     def ids(self, t: int) -> list[str]:
-        return list(map(_beta_id, self._a[t::-1], self._b[: t + 1]))
+        return list(map(_beta_id, *self._counts(t)))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .mdp import solve_q
 from .policies import POLICY_KINDS, make_policy
-from .sim import SimResult, Stats, compare, run
+from .sim import SimResult, Stats, compare
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -30,6 +29,9 @@ EXIT_RESOURCE = 3
 PATH_CSV_COLUMNS = ["path_id", "t", "move", "action", "size", "reward", "wealth"]
 STATS_CSV_COLUMNS = ["policy", *(f.name for f in fields(Stats))]
 QTABLE_CSV_COLUMNS = ["t", "belief_id", "action", "q_value", "is_optimal"]
+# Every CSV is what csv.writer writes (QUOTE_MINIMAL, \r\n line ends): cells
+# joined by commas, numbers through _num, a cell quoted only when it holds a
+# comma (only belief ids do), and no cell holds a quote or a line break.
 
 
 def _num(x: float) -> str:
@@ -47,17 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--dump-config", action="store_true", help="print the effective config and exit"
     )
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run one policy over seeded paths")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--policy", required=True, help=",".join(POLICY_KINDS))
     p_sim.add_argument("--out", required=True, help="per-path CSV output")
     p_sim.add_argument("--stats-out", help="summary statistics CSV output")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="common-random-numbers policy comparison")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--policies", required=True, help="comma-separated policy names")
     p_cmp.add_argument("--out", required=True, help="per-policy statistics CSV")
+    p_cmp.set_defaults(run=_cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run the mechanical checkers")
     p_ver.add_argument(
@@ -66,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all"] + sorted(verify_mod.SUITES),
     )
     p_ver.add_argument("--json", dest="json_out", help="write the report as JSON")
+    p_ver.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -96,39 +102,33 @@ def _outputs(*paths: Optional[str]) -> Iterator[list[Optional[IO[str]]]]:
                     os.remove(path)
 
 
+def _csv_line(cells: Sequence[str]) -> str:
+    return ",".join(cells) + "\r\n"
+
+
 def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(PATH_CSV_COLUMNS)
+    fh.write(_csv_line(PATH_CSV_COLUMNS))
     for wp in result.paths:
-        for rec in wp.steps:
-            writer.writerow(
-                [
-                    wp.path_id,
-                    rec.t,
-                    rec.move.value,
-                    rec.action.direction.value,
-                    rec.action.size,
-                    _num(rec.reward),
-                    _num(rec.wealth_after),
-                ]
+        fh.write(
+            "".join(
+                f"{wp.path_id},{rec.t},{rec.move.value},{rec.action.direction.value},"
+                f"{rec.action.size},{_num(rec.reward)},{_num(rec.wealth_after)}\r\n"
+                for rec in wp.steps
             )
+        )
 
 
 def _write_stats_csv(results: list[SimResult], fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(STATS_CSV_COLUMNS)
+    fh.write(_csv_line(STATS_CSV_COLUMNS))
     for result in results:
-        writer.writerow([result.policy_name, *map(_num, astuple(result.stats))])
+        fh.write(_csv_line([result.policy_name, *map(_num, astuple(result.stats))]))
 
 
 def _print_stats(name: str, stats) -> None:
     print(f"policy {name}:")
     print(f"  mean terminal   {stats.mean_terminal:.6f}")
     print(f"  std terminal    {stats.std_terminal:.6f}")
-    print(
-        "  quantiles 5/25/50/75/95  "
-        + " ".join(f"{q:.4f}" for q in stats.quantiles())
-    )
+    print("  quantiles 5/25/50/75/95  " + " ".join(f"{q:.4f}" for q in stats.quantiles()))
     print(f"  mean max drawdown  {stats.mean_max_drawdown:.6f}")
     print(f"  ruin fraction      {stats.ruin_fraction:.6f}")
 
@@ -146,20 +146,17 @@ def _cmd_solve(args) -> int:
 def _export_qtable(table, out: Optional[IO[str]]) -> None:
     """Print the Q-table and, given a file, write it as CSV too, in one pass
     over the lattice layers: per t, beliefs in belief_id order, one line per
-    action, then the stage's argmax line. The CSV is what csv.writer would
-    write (QUOTE_MINIMAL, \\r\\n line ends): a belief_id is quoted when it
-    contains a comma, and none contains a quote or a line break."""
+    action, then the stage's argmax line."""
     names = [str(a) for a in table.problem.action_set]
     n = len(names)
     if out is not None:
-        out.write(",".join(QTABLE_CSV_COLUMNS) + "\r\n")
+        out.write(_csv_line(QTABLE_CSV_COLUMNS))
     for t in range(table.problem.horizon):
         ids = table.lattice.ids(t)
         # the repr of a list of floats is the repr of each one
         qs = repr(table.qs[t].ravel().tolist())[1:-1].split(", ")
         best = table.best[t].tolist()
-        lines = []
-        csv_lines = []
+        lines, csv_lines = [], []
         for i in sorted(range(len(ids)), key=ids.__getitem__):
             prefix = f"t={t}, belief={ids[i]}"
             cell = f'"{ids[i]}"' if "," in ids[i] else ids[i]
@@ -181,29 +178,28 @@ def _parse_policy_name(name: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    kind = _parse_policy_name(args.policy)
-    sim_cfg = cfg.sim_config()
-    with _outputs(args.out, args.stats_out) as (out, stats_out):
-        result = run(make_policy(kind, sim_cfg.problem), cfg.market(), sim_cfg)
-        _write_paths_csv(result, out)
-        if stats_out:
-            _write_stats_csv([result], stats_out)
-    _print_stats(result.policy_name, result.stats)
-    return EXIT_OK
+    return _simulate(args.config, [args.policy], args.out, args.stats_out)
 
 
 def _cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    names = [n for n in args.policies.split(",") if n.strip()]
+    return _simulate(args.config, list(filter(str.strip, args.policies.split(","))), None, args.out)
+
+
+def _simulate(config: str, names: list[str], paths: Optional[str], stats: Optional[str]) -> int:
+    """Run the named policies on common random numbers (`sim.compare`), write the first
+    one's paths CSV and every one's stats CSV, and print the stats and pairwise CIs."""
+    cfg = load_config(config)
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
     kinds = [_parse_policy_name(n) for n in names]
     sim_cfg = cfg.sim_config()
-    with _outputs(args.out) as (out,):
+    with _outputs(paths, stats) as (paths_out, stats_out):
         policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]
         table = compare(policies, cfg.market(), sim_cfg)
-        _write_stats_csv(table.results, out)
+        if paths_out:
+            _write_paths_csv(table.results[0], paths_out)
+        if stats_out:
+            _write_stats_csv(table.results, stats_out)
     for result in table.results:
         _print_stats(result.policy_name, result.stats)
     for pw in table.pairwise:
@@ -234,14 +230,8 @@ def _cmd_verify(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "simulate": _cmd_simulate,
-        "compare": _cmd_compare,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ConfigurationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,14 +9,13 @@ becomes $990.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .actions import Move, check_ticks
+from .actions import Move, check_finite, check_ticks
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -45,10 +44,7 @@ class MarketModel:
 
     def __post_init__(self) -> None:
         check_ticks(self.u, self.d, "MarketModel")
-        if not math.isfinite(self.initial_wealth):
-            raise ValidationError(
-                f"MarketModel initial_wealth must be finite, got {self.initial_wealth}"
-            )
+        check_finite(self.initial_wealth, "MarketModel initial_wealth")
         if not 0.0 <= self.p_up <= 1.0:
             raise ValidationError(f"p_up must be in [0,1], got {self.p_up}")
 

@@ -126,25 +126,24 @@ class QTable:
         )
 
     def reachable_beliefs(self, t: int) -> list[Belief]:
-        if t < 0 or t > self.lattice.T:
-            return []
         return self.lattice.beliefs(t)
+
+    def _row(self, t: int, belief: Belief, key: str = "") -> int:
+        """The belief's row in layer t; `key` extends the unreachable-state message."""
+        row = self.lattice.row(t, belief)
+        if row is None:
+            raise UnreachableStateError(f"stage state (t={t}, belief={belief}{key}) not reached")
+        return row
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
         col = self._columns.get(action)
-        row = self.lattice.row(t, belief) if t < len(self.qs) else None
-        if row is None or col is None:
-            raise UnreachableStateError(
-                f"no Q entry for t={t}, belief={belief}, action={action}"
-            )
+        if col is None or t >= len(self.qs):
+            raise UnreachableStateError(f"no Q entry for t={t}, belief={belief}, action={action}")
+        row = self._row(t, belief, f", action={action}")
         return float(self.qs[t][row, col])
 
     def value(self, t: int, belief: Belief) -> float:
-        row = self.lattice.row(t, belief)
-        if row is None:
-            raise UnreachableStateError(
-                f"stage state (t={t}, belief={belief}) was never reached"
-            )
+        row = self._row(t, belief)
         return float(self.vs[t][row])
 
     def optimal_action(self, t: int, belief: Belief) -> Action:
@@ -152,11 +151,7 @@ class QTable:
         in the problem's action_set order."""
         if t >= self.problem.horizon:
             raise UnreachableStateError(f"t={t} is at or past the horizon")
-        row = self.lattice.row(t, belief)
-        if row is None:
-            raise UnreachableStateError(
-                f"stage state (t={t}, belief={belief}) was never reached"
-            )
+        row = self._row(t, belief)
         return self.problem.action_set[self.best[t][row]]
 
 

@@ -98,11 +98,14 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             BetaBernoulli(1, -2)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    # math.isfinite raises OverflowError on an int beyond float64
+    @pytest.mark.parametrize(
+        "bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float64")]
+    )
     def test_beta_rejects_non_finite_counts(self, bad):
-        with pytest.raises(ValidationError, match="alpha"):
+        with pytest.raises(ValidationError, match="BetaBernoulli alpha must be finite"):
             BetaBernoulli(bad, 1)
-        with pytest.raises(ValidationError, match="beta"):
+        with pytest.raises(ValidationError, match="BetaBernoulli beta must be finite"):
             BetaBernoulli(1, bad)
 
     def test_beta_rejects_counts_whose_sum_overflows(self):
@@ -227,6 +230,11 @@ class TestLattice:
         for other in (Static(0.45), Mirror(0.55, Move.UP), BetaBernoulli(0.7, 0.9)):
             for t in range(T + 1):
                 assert lattice.row(t, other) is None
+        # layers outside 0..T are empty, in the closed form and the closure
+        for built in (lattice, Belief.lattice(b0, T, 10**6)):
+            for t in (-T - 2, -1, T + 1, T + 2):
+                assert built.beliefs(t) == [] and built.ids(t) == []
+                assert built.row(t, b0) is None
 
     @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
     def test_beta_rows_reached_at_another_t_are_none(self, b0):

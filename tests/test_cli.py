@@ -14,6 +14,7 @@ from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
 from otl.mdp import solve_q
+from otl.policies import POLICY_KINDS
 
 BASE_CONFIG = """\
 # desk defaults
@@ -277,6 +278,43 @@ class TestCompareCommand:
     def test_empty_policy_list_exits_2(self, config_file, tmp_path, capsys):
         code = main(["compare", "--config", config_file, "--policies", ",", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+
+class TestOneSimulationPath:
+    """`simulate` is a one-policy `compare` that also writes the path CSV."""
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_simulate_is_a_one_policy_compare(self, kind, config_file, tmp_path, capsys):
+        sim_stats, cmp_stats = tmp_path / "sim.csv", tmp_path / "cmp.csv"
+        argv = ["simulate", "--config", config_file, "--policy", kind,
+                "--out", str(tmp_path / "paths.csv"), "--stats-out", str(sim_stats)]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        argv = ["compare", "--config", config_file, "--policies", kind, "--out", str(cmp_stats)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == printed
+        assert cmp_stats.read_bytes() == sim_stats.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--policy", "yolo"], ["compare", "--policies", "cutloss,yolo"]]
+    )
+    def test_unknown_kind_leaves_existing_output_untouched(
+        self, argv, config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept,as\r\nit,was\r\n")
+        assert main([*argv, "--config", config_file, "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown policy name: 'yolo'" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept,as\r\nit,was\r\n"
+
+    def test_empty_policy_name_is_an_unknown_name(self, config_file, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", config_file, "--policy", "", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown policy name: ''" in err
+        assert "--policies" not in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -175,7 +175,10 @@ class TestModelValidation:
             MarketModel(u=1.0, d=-1.0, p_up=1.2)
 
     @pytest.mark.parametrize("name", ["u", "d", "initial_wealth"])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    # math.isfinite raises OverflowError on an int beyond float64
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="int-beyond-float64")]
+    )
     def test_non_finite_fields_rejected(self, name, bad):
         fields = {"u": 1.0, "d": -1.0, "p_up": 0.5, "initial_wealth": 1000.0, name: bad}
         with pytest.raises(ValidationError, match=f"MarketModel {name} must be finite"):

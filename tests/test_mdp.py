@@ -117,8 +117,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             problem(1, Static(0.6), action_set=(LONG, LONG))
 
+    # math.isfinite raises OverflowError on an int beyond float64
     @pytest.mark.parametrize(
-        "ticks", [(math.inf, -10.0), (10.0, -math.inf), (math.nan, -10.0)]
+        "ticks",
+        [
+            (math.inf, -10.0),
+            (10.0, -math.inf),
+            (math.nan, -10.0),
+            pytest.param((10**400, -1.0), id="int-beyond-float64"),
+        ],
     )
     def test_non_finite_ticks(self, ticks):
         with pytest.raises(ValidationError, match="DecisionProblem ticks [ud] must be finite"):
