@@ -51,7 +51,7 @@ class Action:
 
     def __post_init__(self) -> None:
         if self.size < 1:
-            raise ValidationError(f"action size must be >= 1, got {self.size}")
+            raise ValidationError(f"action size must be >= 1, got {shown(self.size)}")
         if self.direction is Direction.NEUTRAL and self.size != 1:
             object.__setattr__(self, "size", 1)
         object.__setattr__(self, "stake", self.direction.sign * self.size)
@@ -62,6 +62,16 @@ class Action:
         return f"{self.direction.value}x{self.size}"
 
 
+def shown(value: object) -> object:
+    """value for an error message; an int beyond float64 is named, as str() may refuse it."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return "an int beyond float64"
+    return value
+
+
 def check_finite(value: float, name: str) -> None:
     """Raise unless value is a finite float64 (an int beyond its range is
     not); `name` names the value in the message."""
@@ -69,8 +79,8 @@ def check_finite(value: float, name: str) -> None:
         if math.isfinite(value):
             return
     except OverflowError:
-        value = "an int beyond float64"
-    raise ValidationError(f"{name} must be finite, got {value}")
+        pass
+    raise ValidationError(f"{name} must be finite, got {shown(value)}")
 
 
 def check_ticks(u: float, d: float, owner: str) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, Move, check_finite, check_ticks
+from .actions import Action, Move, check_finite, check_ticks, shown
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -56,7 +56,7 @@ class Static(Belief):
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q_up < 1.0:
-            raise ValidationError(f"Static q_up must be in (0,1), got {self.q_up}")
+            raise ValidationError(f"Static q_up must be in (0,1), got {shown(self.q_up)}")
 
     def predictive(self) -> float:
         return self.q_up
@@ -80,7 +80,7 @@ class Mirror(Belief):
     def __post_init__(self) -> None:
         if not 0.5 <= self.confidence < 1.0:
             raise ValidationError(
-                f"Mirror confidence must be in [0.5,1), got {self.confidence}"
+                f"Mirror confidence must be in [0.5,1), got {shown(self.confidence)}"
             )
 
     def predictive(self) -> float:
@@ -172,7 +172,7 @@ def belief_id(belief: Belief) -> str:
 def _check_states(n: int, T: int, max_states: int) -> None:
     if n > max_states:
         raise ResourceLimitError(
-            f"belief lattice exceeds {max_states} stage states at horizon {T}"
+            f"belief lattice exceeds {max_states} stage states at horizon {shown(T)}"
         )
 
 
@@ -254,9 +254,8 @@ class _BetaCounts(Lattice):
     def __init__(self, counts: list[np.ndarray], T: int, max_states: int):
         _check_states((T + 1) * (T + 2) // 2, T, max_states)
         self._alphas, self._betas = counts
-        self._a, self._b = (seq.tolist() for seq in counts)
-        self._alpha_at = {a: j for j, a in enumerate(self._a)}
-        self._beta_at = {b: k for k, b in enumerate(self._b)}
+        self._alpha_at = {a: j for j, a in enumerate(self._alphas.tolist())}
+        self._beta_at = {b: k for k, b in enumerate(self._betas.tolist())}
         self._rows = np.arange(T + 2, dtype=np.intp)
         super().__init__(T, range(1, T + 2))
 
@@ -282,7 +281,7 @@ class _BetaCounts(Lattice):
         """The alpha and beta counts of layer t's rows (none outside 0..T)."""
         if not 0 <= t <= self.T:
             return [], []
-        return self._a[t::-1], self._b[: t + 1]
+        return self._alphas[t::-1].tolist(), self._betas[: t + 1].tolist()
 
     def beliefs(self, t: int) -> list[Belief]:
         return list(map(BetaBernoulli, *self._counts(t)))

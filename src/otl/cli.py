@@ -108,12 +108,12 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
     fh.write(_csv_line(PATH_CSV_COLUMNS))
-    for wp in result.paths:
+    for path_id, wp in enumerate(result.paths):
         fh.write(
             "".join(
-                f"{wp.path_id},{rec.t},{rec.move.value},{rec.action.direction.value},"
+                f"{path_id},{t},{rec.move.value},{rec.action.direction.value},"
                 f"{rec.action.size},{_num(rec.reward)},{_num(rec.wealth_after)}\r\n"
-                for rec in wp.steps
+                for t, rec in enumerate(wp.steps)
             )
         )
 

@@ -114,16 +114,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(
                 f"line {lineno}: cannot parse {value!r} as {conv.__name__} for {key}"
             )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
     try:
         cfg.market()
         cfg.problem()
     except ValidationError as exc:
         raise ConfigurationError(str(exc)) from exc
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -135,13 +131,7 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def dump_config(cfg: RunConfig) -> str:
     """Emit a config that reparses to an identical RunConfig."""
-    lines = [f"{key} = {_render(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
+    lines = [f"{key} = {getattr(cfg, attr)}" for key, (attr, _) in _KEYS.items()]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .actions import Move, check_finite, check_ticks
+from .actions import Move, check_finite, check_ticks, shown
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -25,9 +25,9 @@ MAX_ENUM_HORIZON = 20
 
 def _check_horizon(horizon: int) -> None:
     if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+        raise ValidationError(f"horizon must be >= 0, got {shown(horizon)}")
     if horizon > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(f"horizon {horizon} exceeds bound {MAX_ENUM_HORIZON}")
+        raise ResourceLimitError(f"horizon {shown(horizon)} exceeds bound {MAX_ENUM_HORIZON}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class MarketModel:
         check_ticks(self.u, self.d, "MarketModel")
         check_finite(self.initial_wealth, "MarketModel initial_wealth")
         if not 0.0 <= self.p_up <= 1.0:
-            raise ValidationError(f"p_up must be in [0,1], got {self.p_up}")
+            raise ValidationError(f"p_up must be in [0,1], got {shown(self.p_up)}")
 
     @property
     def ticks(self) -> tuple[float, float]:
@@ -146,9 +146,7 @@ def price_process(
     return vals[0]
 
 
-def expected_dividend_by_enumeration(
-    model: MarketModel, div: DividendSpec, horizon: int, action: object = None
-) -> float:
+def expected_dividend_by_enumeration(model: MarketModel, div: DividendSpec, horizon: int) -> float:
     """Oracle for price_process with action-independent dividends: sum the
     dividend stream over every enumerated path, probability-weighted."""
     total = 0.0
@@ -157,7 +155,7 @@ def expected_dividend_by_enumeration(
         acc = 0.0
         for t, m in enumerate(moves, start=1):
             level += model.u if m is Move.UP else model.d
-            acc += div.per_step_dividend(t, action, level)
+            acc += div.per_step_dividend(t, None, level)
         acc += div.terminal_payoff(level)
         total += probability * acc
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import LONG, NEUTRAL, SHORT, Action, check_ticks
+from .actions import LONG, NEUTRAL, SHORT, Action, check_ticks, shown
 from .beliefs import Belief, Lattice
 from .errors import UnreachableStateError, ValidationError
 
@@ -41,7 +41,7 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
-            raise ValidationError(f"horizon must be >= 0, got {self.horizon}")
+            raise ValidationError(f"horizon must be >= 0, got {shown(self.horizon)}")
         check_ticks(*self.ticks, "DecisionProblem ticks")
         actions = tuple(self.action_set)
         if not actions:
@@ -51,7 +51,7 @@ class DecisionProblem:
         object.__setattr__(self, "action_set", actions)
         if not 0.0 < self.per_step_discount <= 1.0:
             raise ValidationError(
-                f"per_step_discount must be in (0,1], got {self.per_step_discount}"
+                f"per_step_discount must be in (0,1], got {shown(self.per_step_discount)}"
             )
 
 
@@ -132,13 +132,17 @@ class QTable:
         """The belief's row in layer t; `key` extends the unreachable-state message."""
         row = self.lattice.row(t, belief)
         if row is None:
-            raise UnreachableStateError(f"stage state (t={t}, belief={belief}{key}) not reached")
+            raise UnreachableStateError(
+                f"stage state (t={shown(t)}, belief={belief}{key}) not reached"
+            )
         return row
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
         col = self._columns.get(action)
         if col is None or t >= len(self.qs):
-            raise UnreachableStateError(f"no Q entry for t={t}, belief={belief}, action={action}")
+            raise UnreachableStateError(
+                f"no Q entry for t={shown(t)}, belief={belief}, action={action}"
+            )
         row = self._row(t, belief, f", action={action}")
         return float(self.qs[t][row, col])
 
@@ -150,7 +154,7 @@ class QTable:
         """Argmax of Q at the stage state; ties go to the earliest action
         in the problem's action_set order."""
         if t >= self.problem.horizon:
-            raise UnreachableStateError(f"t={t} is at or past the horizon")
+            raise UnreachableStateError(f"t={shown(t)} is at or past the horizon")
         row = self._row(t, belief)
         return self.problem.action_set[self.best[t][row]]
 

@@ -1,7 +1,8 @@
 """Deterministic Monte Carlo engine.
 
-Path i of a run is driven by a seed derived from (master_seed, i), so results
-are a pure function of the configuration and independent of execution order.
+Path i of a run, `SimResult.paths[i]`, is driven by a seed derived from
+(master_seed, i), so results are a pure function of the configuration and
+independent of execution order; its step at time t is `steps[t]`.
 Policies are compared on common random numbers: every policy sees the same
 move sequences.
 """
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, Move
+from .actions import Action, Move, shown
 from .beliefs import Belief
 from .errors import ResourceLimitError, ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
@@ -23,8 +24,8 @@ from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # bound on n_paths x horizon: every step of every path is kept as a
-# StepRecord, ~143 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
-# ~0.7 GB per policy at the bound; compare keeps one set per policy
+# StepRecord, ~133 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
+# ~0.67 GB per policy at the bound; compare keeps one set per policy
 MAX_PATH_STEPS = 5_000_000
 
 
@@ -39,19 +40,18 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
+            raise ValidationError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
         if self.problem.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.problem.horizon}")
+            raise ValidationError(f"horizon must be >= 1, got {shown(self.problem.horizon)}")
         if self.n_paths * self.problem.horizon > MAX_PATH_STEPS:
             raise ResourceLimitError(
-                f"n_paths x horizon = {self.n_paths} x {self.problem.horizon} exceeds"
-                f" bound {MAX_PATH_STEPS} retained step records"
+                f"n_paths x horizon = {shown(self.n_paths)} x {shown(self.problem.horizon)}"
+                f" exceeds bound {MAX_PATH_STEPS} retained step records"
             )
 
 
 @dataclass(slots=True)
 class StepRecord:
-    t: int
     move: Move
     action: Action
     reward: float
@@ -60,7 +60,6 @@ class StepRecord:
 
 @dataclass
 class WealthPath:
-    path_id: int
     initial_wealth: float
     steps: list[StepRecord]
 
@@ -158,7 +157,6 @@ def replay(
     model: MarketModel,
     initial_belief: Belief,
     moves: Sequence[Move],
-    path_id: int = 0,
 ) -> WealthPath:
     """Drive the policy through a fixed move sequence.
 
@@ -183,17 +181,19 @@ def replay(
         # beliefs see every move, even while flat: the tape is public
         belief = belief.update(move)
         last_move = move
-        append(StepRecord(t, move, action, reward, wealth))
-    return WealthPath(path_id=path_id, initial_wealth=model.initial_wealth, steps=steps)
+        append(StepRecord(move, action, reward, wealth))
+    return WealthPath(initial_wealth=model.initial_wealth, steps=steps)
 
 
 def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
-    """Run one policy over cfg.n_paths independent seeded paths."""
+    """Run one policy over cfg.n_paths seeded paths of a market with the problem's ticks."""
     problem, seed = cfg.problem, cfg.master_seed
+    if model.ticks != tuple(problem.ticks):
+        raise ValidationError(f"market ticks {model.ticks} != problem ticks {problem.ticks}")
     paths = []
     for i in range(cfg.n_paths):
         moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
-        paths.append(replay(policy, model, problem.initial_belief, moves, i))
+        paths.append(replay(policy, model, problem.initial_belief, moves))
     terminals = np.array([p.terminal_wealth for p in paths])
     # overflow is caught by _check_finite and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):

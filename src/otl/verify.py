@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move
+from .actions import LONG, NEUTRAL, SHORT, Action, Move, shown
 from .beliefs import Belief, BetaBernoulli, Mirror, Static, expected_step_reward
 from .errors import ValidationError
 from .market import (
@@ -150,7 +150,7 @@ def check_example21(
     report = Report(suite="example21")
     for q in q_grid:
         if not 0.5 < q < 1.0:
-            raise ValidationError(f"q grid values must lie in (0.5, 1), got {q}")
+            raise ValidationError(f"q grid values must lie in (0.5, 1), got {shown(q)}")
         for T in horizons:
             problem = DecisionProblem(horizon=T, ticks=ticks, initial_belief=Static(q))
             table = solve_q(problem)
@@ -181,7 +181,7 @@ def check_no_averaging(
     report = Report(suite="averaging")
     for q in q_grid:
         if not 0.5 < q < 1.0:
-            raise ValidationError(f"q grid values must lie in (0.5, 1), got {q}")
+            raise ValidationError(f"q grid values must lie in (0.5, 1), got {shown(q)}")
         for scale in tick_scales:
             ticks = (10.0 * scale, -10.0 * scale)
             for T in horizons:
@@ -231,7 +231,6 @@ def check_price(max_horizon: int = 12) -> Report:
     identity = DividendSpec(
         per_step_dividend=lambda t, a, level: 0.0,
         terminal_payoff=lambda level: level,
-        initial_level=100.0,
     )
     for T in (0, 1, 3, 5, max_horizon):
         fair = MarketModel(u=1.0, d=-1.0, p_up=0.5)
@@ -251,7 +250,6 @@ def check_price(max_horizon: int = 12) -> Report:
     coupon = DividendSpec(
         per_step_dividend=lambda t, a, level: 0.01 * level,
         terminal_payoff=lambda level: level,
-        initial_level=100.0,
     )
     for T in range(max_horizon + 1):
         model = MarketModel(u=2.0, d=-1.0, p_up=0.55)

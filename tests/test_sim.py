@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -44,10 +45,9 @@ class TestSummarize:
 
     def _path(self, wealths, initial=1000.0):
         steps = [
-            StepRecord(t=t, move=Move.UP, action=LONG, reward=0.0, wealth_after=w)
-            for t, w in enumerate(wealths)
+            StepRecord(move=Move.UP, action=LONG, reward=0.0, wealth_after=w) for w in wealths
         ]
-        return WealthPath(path_id=0, initial_wealth=initial, steps=steps)
+        return WealthPath(initial_wealth=initial, steps=steps)
 
     def test_constant_path(self):
         stats = summarize([self._path([1000.0, 1000.0])])
@@ -97,6 +97,17 @@ class TestRun:
         pol = make_policy("bellman", problem(3, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL)))
         path = replay(pol, market(0.5), Mirror(0.6, Move.UP), [Move.DOWN, Move.UP, Move.UP])
         assert [s.action for s in path.steps] == [LONG, NEUTRAL, LONG]
+
+    @pytest.mark.parametrize("kind", ["bellman", "cutloss"])
+    def test_market_ticks_must_be_the_problems(self, kind):
+        # a policy solved for +-10 must not be scored on ticks of +1/-30
+        pol = make_policy(kind, problem(5))
+        odd = MarketModel(u=1.0, d=-30.0, p_up=0.5)
+        msg = re.escape("market ticks (1.0, -30.0) != problem ticks (10.0, -10.0)")
+        with pytest.raises(ValidationError, match=msg):
+            run(pol, odd, cfg(100, 5))
+        with pytest.raises(ValidationError, match="!= problem ticks"):
+            compare([pol], odd, cfg(100, 5))
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValidationError):
