@@ -4,14 +4,7 @@ simulator, a suite of trading policies, and mechanical verification of the
 inequalities the framework rests on."""
 
 from .actions import LONG, NEUTRAL, SHORT, Action, Direction, Move
-from .beliefs import (
-    Belief,
-    BetaBernoulli,
-    Mirror,
-    Static,
-    belief_id,
-    expected_step_reward,
-)
+from .beliefs import Belief, BetaBernoulli, Mirror, Static, belief_id
 from .errors import (
     ConfigurationError,
     OtlError,
@@ -79,7 +72,6 @@ __all__ = [
     "compare",
     "derive_path_seed",
     "enumerate_paths",
-    "expected_step_reward",
     "make_policy",
     "price_process",
     "run",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -50,6 +51,7 @@ class Action:
     size: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", check_int(self.size, "action size"))
         if self.size < 1:
             raise ValidationError(f"action size must be >= 1, got {shown(self.size)}")
         if self.direction is Direction.NEUTRAL and self.size != 1:
@@ -72,13 +74,23 @@ def shown(value: object) -> object:
     return value
 
 
+def check_int(value: object, name: str) -> int:
+    """`value` as an int (a numpy integer is one); raise unless it is an
+    integer, naming it `name` in the message."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_finite(value: float, name: str) -> None:
-    """Raise unless value is a finite float64 (an int beyond its range is
-    not); `name` names the value in the message."""
+    """Raise unless value is a finite float64 (an int beyond its range, or
+    a value that is not a number, is not); `name` names the value in the
+    message."""
     try:
         if math.isfinite(value):
             return
-    except OverflowError:
+    except (OverflowError, TypeError):
         pass
     raise ValidationError(f"{name} must be finite, got {shown(value)}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, Move, check_finite, check_ticks, shown
+from .actions import Move, check_finite, shown
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -142,20 +142,6 @@ class BetaBernoulli(Belief):
 
 def _beta_id(alpha: float, beta: float) -> str:
     return f"beta({alpha!r},{beta!r})"
-
-
-def expected_step_reward(belief: Belief, action: Action, ticks: tuple[float, float]) -> float:
-    """One-step expected profit of holding `action` under `belief`.
-
-    `ticks` is (u, d), finite with u > 0 > d; the action earns
-    stake * (q*u + (1-q)*d), so Neutral earns zero.
-    """
-    u, d = ticks
-    check_ticks(u, d, "expected_step_reward ticks")
-    if action.stake == 0:
-        return 0.0
-    q = belief.predictive()
-    return action.stake * (q * u + (1.0 - q) * d)
 
 
 def belief_id(belief: Belief) -> str:

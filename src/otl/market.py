@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,11 +57,11 @@ class MarketModel:
 class DividendSpec:
     """Reward stream for the valuation recursion.
 
-    per_step_dividend(t, action, level) is paid on arriving at `level` at
-    time t; terminal_payoff(level) is paid once at the horizon.
+    per_step_dividend(t, level) is paid on arriving at `level` at time t;
+    terminal_payoff(level) is paid once at the horizon.
     """
 
-    per_step_dividend: Callable[[int, object, float], float]
+    per_step_dividend: Callable[[int, float], float]
     terminal_payoff: Callable[[float], float]
     initial_level: float = 100.0
 
@@ -107,21 +107,12 @@ def enumerate_paths(
     return zip(itertools.product((Move.UP, Move.DOWN), repeat=horizon), probs.tolist())
 
 
-def price_process(
-    model: MarketModel,
-    div: DividendSpec,
-    horizon: int,
-    actions: Sequence[object] = (None,),
-) -> float:
-    """Initial value of the dividend stream by backward induction.
-
-    Levels move by the model's ticks. The max over actions only bites when
-    the dividend depends on the action; with action-independent dividends
-    the recursion degenerates to a plain expectation.
+def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
+    """Initial value of the dividend stream by backward induction: each
+    node is the expectation, under the model's p_up, of the next step's
+    dividend plus its value. Levels move by the model's ticks.
     """
     _check_horizon(horizon)
-    if not actions:
-        raise ValidationError("actions must be non-empty")
     p = model.p_up
 
     # Level after k up moves out of t total is determined by (t, k).
@@ -130,32 +121,24 @@ def price_process(
 
     vals = [div.terminal_payoff(level(horizon, k)) for k in range(horizon + 1)]
     for t in range(horizon - 1, -1, -1):
-        nxt = []
-        for k in range(t + 1):
-            lvl_up = level(t + 1, k + 1)
-            lvl_dn = level(t + 1, k)
-            best = None
-            for a in actions:
-                ev = p * (div.per_step_dividend(t + 1, a, lvl_up) + vals[k + 1]) + (
-                    1.0 - p
-                ) * (div.per_step_dividend(t + 1, a, lvl_dn) + vals[k])
-                if best is None or ev > best:
-                    best = ev
-            nxt.append(best)
-        vals = nxt
+        vals = [
+            p * (div.per_step_dividend(t + 1, level(t + 1, k + 1)) + vals[k + 1])
+            + (1.0 - p) * (div.per_step_dividend(t + 1, level(t + 1, k)) + vals[k])
+            for k in range(t + 1)
+        ]
     return vals[0]
 
 
 def expected_dividend_by_enumeration(model: MarketModel, div: DividendSpec, horizon: int) -> float:
-    """Oracle for price_process with action-independent dividends: sum the
-    dividend stream over every enumerated path, probability-weighted."""
+    """Oracle for price_process: sum the dividend stream over every
+    enumerated path, probability-weighted."""
     total = 0.0
     for moves, probability in enumerate_paths(model, horizon):
         level = div.initial_level
         acc = 0.0
         for t, m in enumerate(moves, start=1):
             level += model.u if m is Move.UP else model.d
-            acc += div.per_step_dividend(t, None, level)
+            acc += div.per_step_dividend(t, level)
         acc += div.terminal_payoff(level)
         total += probability * acc
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import LONG, NEUTRAL, SHORT, Action, check_ticks, shown
+from .actions import LONG, NEUTRAL, SHORT, Action, check_int, check_ticks, shown
 from .beliefs import Belief, Lattice
 from .errors import UnreachableStateError, ValidationError
 
@@ -27,7 +27,8 @@ MAX_STAGE_STATES = 1_000_000
 class DecisionProblem:
     """Everything needed to solve for a Q-table.
 
-    ticks are absolute money amounts per step, (u, d), finite with u > 0 > d.
+    ticks are absolute money amounts per step, (u, d), finite with u > 0 > d;
+    any such pair is kept as a tuple, so the problem stays hashable.
     action_set order is the argmax tie-break order; the shipped default
     (neutral, long, short) stays out when indifferent.
     per_step_discount multiplies the step reward by discount**t.
@@ -40,9 +41,17 @@ class DecisionProblem:
     per_step_discount: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "horizon", check_int(self.horizon, "horizon"))
         if self.horizon < 0:
             raise ValidationError(f"horizon must be >= 0, got {shown(self.horizon)}")
-        check_ticks(*self.ticks, "DecisionProblem ticks")
+        try:
+            u, d = self.ticks
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"DecisionProblem ticks must be a (u, d) pair, got {self.ticks!r}"
+            ) from None
+        check_ticks(u, d, "DecisionProblem ticks")
+        object.__setattr__(self, "ticks", (u, d))
         actions = tuple(self.action_set)
         if not actions:
             raise ValidationError("action_set must be non-empty")

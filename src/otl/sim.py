@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, Move, shown
+from .actions import Action, Move, check_int, shown
 from .beliefs import Belief
 from .errors import ResourceLimitError, ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
@@ -39,6 +39,8 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_paths", check_int(self.n_paths, "n_paths"))
+        object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed"))
         if self.n_paths < 1:
             raise ValidationError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
         if self.problem.horizon < 1:
@@ -188,7 +190,7 @@ def replay(
 def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
     """Run one policy over cfg.n_paths seeded paths of a market with the problem's ticks."""
     problem, seed = cfg.problem, cfg.master_seed
-    if model.ticks != tuple(problem.ticks):
+    if model.ticks != problem.ticks:
         raise ValidationError(f"market ticks {model.ticks} != problem ticks {problem.ticks}")
     paths = []
     for i in range(cfg.n_paths):

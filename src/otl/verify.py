@@ -3,7 +3,9 @@ on, each against an independent oracle: backward induction vs exhaustive path
 enumeration, the strict Long > Neutral > Short chain for a confident bull,
 the post-loss flip that rules out averaging down, and the dividend valuation.
 
-All checkers are exact and seed-free; failures land in the report, they are
+Each suite is a fixed program that takes no arguments: its case grid is the
+module constants below, so `otl verify` always runs the same cases. All
+checkers are exact and seed-free; failures land in the report, they are
 never raised.
 """
 
@@ -13,9 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move, shown
-from .beliefs import Belief, BetaBernoulli, Mirror, Static, expected_step_reward
-from .errors import ValidationError
+from .actions import LONG, NEUTRAL, SHORT, Action, Move, check_ticks
+from .beliefs import Belief, BetaBernoulli, Mirror, Static
 from .market import (
     DividendSpec,
     MarketModel,
@@ -27,6 +28,14 @@ from .mdp import DEFAULT_ACTIONS, DecisionProblem, solve_q
 # inequality margin: strict assertions demand clearance beyond float noise
 STRICT_MARGIN = 1e-9
 ORACLE_TOL = 1e-9
+
+# the fixed case grids: every suite is one program over these, no options
+TICKS = (10.0, -10.0)
+Q_GRID = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+HORIZONS = (1, 2, 3, 4, 5)
+TICK_SCALES = (1.0, 10.0, 100.0)
+BELLMAN_MAX_HORIZON = 8
+PRICE_MAX_HORIZON = 12
 
 
 @dataclass
@@ -66,46 +75,40 @@ class Report:
         return "\n".join(lines)
 
 
-def _myopic_best(
-    belief: Belief,
-    ticks: tuple[float, float],
-    action_set: Sequence[Action],
-) -> Action:
-    # Moves are exogenous, so the continuation value is shared by every
-    # action and the optimal choice reduces to the one-step expectation,
-    # the stake times that of one long unit (computed once: this runs for
-    # every step of every enumerated path); max keeps the first maximum,
-    # the solver's tie-break.
-    unit = expected_step_reward(belief, LONG, ticks)
-    return max(action_set, key=lambda a: a.stake * unit)
-
-
 def enumeration_q(
     belief: Belief,
     action: Action,
     horizon: int,
     ticks: tuple[float, float],
     action_set: Sequence[Action] = DEFAULT_ACTIONS,
-    discount: float = 1.0,
 ) -> float:
     """Oracle Q-value by brute enumeration of all 2^T move paths.
 
     Each path carries its own belief trajectory and probability weight; the
     first step plays `action`, later steps play the myopic argmax. No table,
-    no backward pass, so this shares nothing with the solver.
+    no backward pass, so this shares nothing with the solver. `ticks` is
+    (u, d), finite with u > 0 > d.
     """
     u, d = ticks
+    check_ticks(u, d, "enumeration_q ticks")
     total = 0.0
     for path in itertools.product((Move.UP, Move.DOWN), repeat=horizon):
         b = belief
         prob = 1.0
         payoff = 0.0
         for t, move in enumerate(path):
-            a = action if t == 0 else _myopic_best(b, ticks, action_set)
             q_up = b.predictive()
+            a = action
+            if t:
+                # Moves are exogenous, so the continuation value is shared
+                # by every action and the optimal choice reduces to the
+                # one-step expectation, the stake times that of one long
+                # unit; max keeps the first maximum, the solver's tie-break.
+                unit = q_up * u + (1.0 - q_up) * d
+                a = max(action_set, key=lambda a: a.stake * unit)
             prob *= q_up if move is Move.UP else (1.0 - q_up)
             tick = u if move is Move.UP else d
-            payoff += (discount**t) * a.stake * tick
+            payoff += a.stake * tick
             b = b.update(move)
         total += prob * payoff
     return total
@@ -119,19 +122,19 @@ def _belief_grid() -> list[tuple[str, Belief]]:
     ]
 
 
-def check_bellman(max_horizon: int = 8, ticks: tuple[float, float] = (10.0, -10.0)) -> Report:
+def check_bellman() -> Report:
     """Solver output vs full-tree enumeration for every belief kind."""
     report = Report(suite="bellman")
     for name, belief in _belief_grid():
-        for T in range(max_horizon + 1):
-            problem = DecisionProblem(horizon=T, ticks=ticks, initial_belief=belief)
+        for T in range(BELLMAN_MAX_HORIZON + 1):
+            problem = DecisionProblem(horizon=T, ticks=TICKS, initial_belief=belief)
             table = solve_q(problem)
             max_dev = 0.0
             if T == 0:
                 max_dev = abs(table.value(0, belief))
             else:
                 for a in problem.action_set:
-                    oracle = enumeration_q(belief, a, T, ticks, problem.action_set)
+                    oracle = enumeration_q(belief, a, T, TICKS, problem.action_set)
                     max_dev = max(max_dev, abs(table.q(0, belief, a) - oracle))
             report.add(
                 f"{name} T={T}: solver matches 2^T enumeration",
@@ -141,18 +144,12 @@ def check_bellman(max_horizon: int = 8, ticks: tuple[float, float] = (10.0, -10.
     return report
 
 
-def check_example21(
-    q_grid: Sequence[float] = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-    horizons: Sequence[int] = (1, 2, 3, 4, 5),
-    ticks: tuple[float, float] = (10.0, -10.0),
-) -> Report:
+def check_example21() -> Report:
     """Strict Q(Long) > Q(Neutral) > Q(Short) for a confident bull."""
     report = Report(suite="example21")
-    for q in q_grid:
-        if not 0.5 < q < 1.0:
-            raise ValidationError(f"q grid values must lie in (0.5, 1), got {shown(q)}")
-        for T in horizons:
-            problem = DecisionProblem(horizon=T, ticks=ticks, initial_belief=Static(q))
+    for q in Q_GRID:
+        for T in HORIZONS:
+            problem = DecisionProblem(horizon=T, ticks=TICKS, initial_belief=Static(q))
             table = solve_q(problem)
             b = problem.initial_belief
             qL = table.q(0, b, LONG)
@@ -169,22 +166,16 @@ def check_example21(
     return report
 
 
-def check_no_averaging(
-    q_grid: Sequence[float] = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-    tick_scales: Sequence[float] = (1.0, 10.0, 100.0),
-    horizons: Sequence[int] = (1, 2, 3, 4, 5),
-) -> Report:
+def check_no_averaging() -> Report:
     """After a losing Long step, the snapped-to-the-tape belief must prefer
     Neutral to Long at the next stage; the gap is (u-d)(q-1/2) per unit tick
     scale. A counting prior need not flip; that contrast is reported as an
     informational case, never asserted."""
     report = Report(suite="averaging")
-    for q in q_grid:
-        if not 0.5 < q < 1.0:
-            raise ValidationError(f"q grid values must lie in (0.5, 1), got {shown(q)}")
-        for scale in tick_scales:
-            ticks = (10.0 * scale, -10.0 * scale)
-            for T in horizons:
+    for q in Q_GRID:
+        for scale in TICK_SCALES:
+            ticks = (TICKS[0] * scale, TICKS[1] * scale)
+            for T in HORIZONS:
                 # stage 0: bullish belief; verify Long is the argmax premise
                 problem = DecisionProblem(
                     horizon=T + 1, ticks=ticks, initial_belief=Mirror(q, Move.UP)
@@ -211,7 +202,7 @@ def check_no_averaging(
     # Bayesian contrast: Beta(6,4) still favors Up after one Down
     prior = BetaBernoulli(6, 4)
     posterior = prior.update(Move.DOWN)
-    problem = DecisionProblem(horizon=2, ticks=(10.0, -10.0), initial_belief=prior)
+    problem = DecisionProblem(horizon=2, ticks=TICKS, initial_belief=prior)
     table = solve_q(problem)
     still_long = table.optimal_action(1, posterior) == LONG
     report.add(
@@ -224,15 +215,15 @@ def check_no_averaging(
     return report
 
 
-def check_price(max_horizon: int = 12) -> Report:
+def check_price() -> Report:
     """Backward-induction valuation vs path enumeration, plus the exact
     martingale and zero-payoff cases."""
     report = Report(suite="price")
     identity = DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.0,
+        per_step_dividend=lambda t, level: 0.0,
         terminal_payoff=lambda level: level,
     )
-    for T in (0, 1, 3, 5, max_horizon):
+    for T in (0, 1, 3, 5, PRICE_MAX_HORIZON):
         fair = MarketModel(u=1.0, d=-1.0, p_up=0.5)
         price = price_process(fair, identity, T)
         report.add(
@@ -248,10 +239,10 @@ def check_price(max_horizon: int = 12) -> Report:
         price=price,
     )
     coupon = DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.01 * level,
+        per_step_dividend=lambda t, level: 0.01 * level,
         terminal_payoff=lambda level: level,
     )
-    for T in range(max_horizon + 1):
+    for T in range(PRICE_MAX_HORIZON + 1):
         model = MarketModel(u=2.0, d=-1.0, p_up=0.55)
         induced = price_process(model, coupon, T)
         enumerated = expected_dividend_by_enumeration(model, coupon, T)
@@ -262,7 +253,7 @@ def check_price(max_horizon: int = 12) -> Report:
             enumerated=enumerated,
         )
     zero = DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.0,
+        per_step_dividend=lambda t, level: 0.0,
         terminal_payoff=lambda level: 0.0,
     )
     price = price_process(MarketModel(u=1.0, d=-1.0, p_up=0.3), zero, 6)

@@ -175,7 +175,7 @@ def test_criterion_7_policy_equivalence_on_sampled_paths():
 
 def test_criterion_8_price_process():
     identity = DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.0,
+        per_step_dividend=lambda t, level: 0.0,
         terminal_payoff=lambda level: level,
         initial_level=100.0,
     )
@@ -186,7 +186,7 @@ def test_criterion_8_price_process():
     biased = price_process(MarketModel(u=1.0, d=-1.0, p_up=0.6), identity, 1)
     ok = ok and abs(biased - 100.2) <= 1e-12
     coupon = DividendSpec(
-        per_step_dividend=lambda t, a, level: 0.01 * level,
+        per_step_dividend=lambda t, level: 0.01 * level,
         terminal_payoff=lambda level: level,
         initial_level=100.0,
     )

@@ -9,8 +9,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otl import verify as verify_mod
 from otl.beliefs import belief_id
-from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, build_parser, main
+from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
 from otl.mdp import solve_q
@@ -332,6 +333,20 @@ class TestVerifyCommand:
         assert {r["suite"] for r in doc["reports"]} == {"bellman", "example21", "averaging", "price"}
         for rep in doc["reports"]:
             assert set(rep) == {"suite", "cases", "overall"}
+
+    def test_failed_check_exits_1_and_keeps_the_report(self, tmp_path, capsys, monkeypatch):
+        def failing():
+            report = verify_mod.Report(suite="price")
+            report.add("a case that does not hold", False)
+            return report
+
+        monkeypatch.setitem(verify_mod.SUITES, "price", failing)
+        report_path = tmp_path / "report.json"
+        argv = ["verify", "--suite", "price", "--json", str(report_path)]
+        assert main(argv) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out.endswith("verify: FAIL\n")
+        # a failed check is a result, not an error: the report stays
+        assert json.loads(report_path.read_text())["overall"] is False
 
 
 class TestUnwritableOutputs:

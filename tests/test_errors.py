@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from otl import (
@@ -24,12 +25,12 @@ H = 10**5000
 TICKS = (10.0, -10.0)
 MODEL = MarketModel(u=1.0, d=-1.0, p_up=0.5)
 DIVIDENDS = DividendSpec(
-    per_step_dividend=lambda t, a, level: 0.0, terminal_payoff=lambda level: level
+    per_step_dividend=lambda t, level: 0.0, terminal_payoff=lambda level: level
 )
 
 
-def problem(horizon=5, belief=Static(0.6), **kwargs):
-    return DecisionProblem(horizon=horizon, ticks=TICKS, initial_belief=belief, **kwargs)
+def problem(horizon=5, belief=Static(0.6), ticks=TICKS, **kwargs):
+    return DecisionProblem(horizon=horizon, ticks=ticks, initial_belief=belief, **kwargs)
 
 
 # case id -> (a call that rejects H or -H, the error a small bad value raises)
@@ -67,3 +68,37 @@ def test_small_rejected_values_are_printed():
         Static(2)
     with pytest.raises(ResourceLimitError, match="horizon 21 exceeds"):
         enumerate_paths(MODEL, 21)
+
+
+@pytest.mark.parametrize(
+    "call,field",
+    [
+        (lambda: Action(Direction.LONG, 2.5), "action size"),
+        (lambda: problem(horizon=2.5), "horizon"),
+        (lambda: SimConfig(problem(), 2.5, 0), "n_paths"),
+        (lambda: SimConfig(problem(), 1, 2.5), "master_seed"),
+    ],
+    ids=["Action-size", "DecisionProblem-horizon", "SimConfig-n_paths", "SimConfig-master_seed"],
+)
+def test_integer_fields_reject_non_integers(call, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer, got 2.5$"):
+        call()
+
+
+def test_integer_fields_accept_numpy_ints():
+    assert Action(Direction.LONG, np.int64(2)) == Action(Direction.LONG, 2)
+    assert problem(horizon=np.int32(3)).horizon == 3
+    assert SimConfig(problem(), np.int64(4), np.uint8(7)).n_paths == 4
+
+
+@pytest.mark.parametrize("ticks", [[10.0, -10.0], np.array(TICKS)])
+def test_problem_ticks_are_kept_as_a_tuple(ticks):
+    prob = problem(ticks=ticks)
+    assert prob.ticks == TICKS and type(prob.ticks) is tuple
+    assert hash(prob) == hash(problem())
+
+
+@pytest.mark.parametrize("ticks", [(10.0, -10.0, 3.0), (10.0,), 10.0, None, ("u", "d")])
+def test_problem_ticks_must_be_a_pair_of_numbers(ticks):
+    with pytest.raises(ValidationError, match="DecisionProblem ticks"):
+        problem(ticks=ticks)

@@ -117,7 +117,7 @@ class TestEnumeratePaths:
 
 
 IDENTITY = DividendSpec(
-    per_step_dividend=lambda t, a, level: 0.0,
+    per_step_dividend=lambda t, level: 0.0,
     terminal_payoff=lambda level: level,
     initial_level=100.0,
 )
@@ -135,7 +135,7 @@ class TestPriceProcess:
 
     def test_zero_everything(self):
         zero = DividendSpec(
-            per_step_dividend=lambda t, a, level: 0.0,
+            per_step_dividend=lambda t, level: 0.0,
             terminal_payoff=lambda level: 0.0,
         )
         assert price_process(model(p=0.7, u=2.0, d=-1.0), zero, 8) == 0.0
@@ -144,21 +144,13 @@ class TestPriceProcess:
     def test_matches_enumeration_for_action_free_dividends(self, T):
         m = model(p=0.55, u=2.0, d=-1.0)
         coupon = DividendSpec(
-            per_step_dividend=lambda t, a, level: 0.02 * level + 0.1 * t,
+            per_step_dividend=lambda t, level: 0.02 * level + 0.1 * t,
             terminal_payoff=lambda level: max(level - 100.0, 0.0),
             initial_level=100.0,
         )
         assert price_process(m, coupon, T) == pytest.approx(
             expected_dividend_by_enumeration(m, coupon, T), abs=1e-9
         )
-
-    def test_max_over_actions_picks_the_better_dividend(self):
-        m = model(p=0.5, u=1.0, d=-1.0)
-        spec = DividendSpec(
-            per_step_dividend=lambda t, a, level: 5.0 if a == "rich" else 1.0,
-            terminal_payoff=lambda level: 0.0,
-        )
-        assert price_process(m, spec, 3, actions=("poor", "rich")) == pytest.approx(15.0)
 
     def test_bound_enforced(self):
         with pytest.raises(ResourceLimitError):

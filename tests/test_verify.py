@@ -1,12 +1,13 @@
 import pytest
 
-from otl import ValidationError
+from otl import LONG, Static, ValidationError
 from otl.verify import (
     Report,
     check_bellman,
     check_example21,
     check_no_averaging,
     check_price,
+    enumeration_q,
     run_all,
 )
 
@@ -27,19 +28,19 @@ class TestReport:
         assert rep.overall
 
     def test_dict_schema(self):
-        rep = check_price(max_horizon=3)
+        rep = check_price()
         doc = rep.to_dict()
         assert set(doc) == {"suite", "cases", "overall"}
         assert all({"description", "passed", "informational", "measured"} <= set(c) for c in doc["cases"])
 
     def test_render_mentions_outcome(self):
-        text = check_price(max_horizon=2).render()
+        text = check_price().render()
         assert "overall: PASS" in text
 
 
 class TestCheckers:
     def test_bellman_suite_passes(self):
-        rep = check_bellman(max_horizon=5)
+        rep = check_bellman()
         assert rep.overall
         # T = 0 rows are the trivial terminal condition
         assert any("T=0" in c.description for c in rep.cases)
@@ -47,25 +48,23 @@ class TestCheckers:
     def test_example21_suite_passes(self):
         assert check_example21().overall
 
-    def test_example21_rejects_half(self):
-        with pytest.raises(ValidationError):
-            check_example21(q_grid=[0.5])
-
     def test_averaging_suite_passes(self):
         rep = check_no_averaging()
         assert rep.overall
 
     def test_averaging_reports_bayes_contrast(self):
-        rep = check_no_averaging(q_grid=[0.6], tick_scales=[1.0], horizons=[1])
+        rep = check_no_averaging()
         info = [c for c in rep.cases if c.informational]
         assert len(info) == 1
         assert info[0].measured["posterior_predictive"] == pytest.approx(6 / 11)
 
     def test_averaging_gap_formula(self):
-        rep = check_no_averaging(q_grid=[0.51], tick_scales=[1.0, 10.0], horizons=[1])
-        gaps = [c.measured["gap"] for c in rep.cases if not c.informational]
-        assert gaps[0] == pytest.approx(20 * (0.51 - 0.5))
-        assert gaps[1] == pytest.approx(200 * (0.51 - 0.5))
+        cases = check_no_averaging().cases
+        # the grid's first cases: q=0.55 and T=1 at tick scales 1 and 10
+        assert cases[0].description.startswith("q=0.55 scale=1.0 T=1:")
+        assert cases[0].measured["gap"] == pytest.approx(20 * (0.55 - 0.5))
+        assert cases[5].description.startswith("q=0.55 scale=10.0 T=1:")
+        assert cases[5].measured["gap"] == pytest.approx(200 * (0.55 - 0.5))
 
     def test_price_suite_passes(self):
         assert check_price().overall
@@ -75,7 +74,12 @@ class TestCheckers:
         assert {r.suite for r in reports} == {"bellman", "example21", "averaging", "price"}
         assert all(r.overall for r in reports)
 
+    def test_oracle_rejects_bad_ticks(self):
+        # checked on entry, so also at T = 1, where no myopic step runs
+        with pytest.raises(ValidationError, match="enumeration_q ticks"):
+            enumeration_q(Static(0.6), LONG, 1, (-1.0, 1.0))
+
     def test_checkers_are_deterministic(self):
-        a = check_bellman(max_horizon=4).to_dict()
-        b = check_bellman(max_horizon=4).to_dict()
+        a = check_bellman().to_dict()
+        b = check_bellman().to_dict()
         assert a == b
