@@ -84,10 +84,11 @@ def derive_path_seed(master_seed: int, path_index: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK) ^ (path_index & _MASK))
 
 
-def sample_moves(p_up: float, horizon: int, path_seed: int) -> tuple[Move, ...]:
+def sample_moves(p_up: float, horizon: int, path_seed: int) -> list[Move]:
     """`horizon` iid moves, Up with probability p_up, fixed by path_seed."""
-    rng = random.Random(path_seed)
-    return tuple(Move.UP if rng.random() < p_up else Move.DOWN for _ in range(horizon))
+    draw = random.Random(path_seed).random
+    up, down = Move.UP, Move.DOWN
+    return [up if draw() < p_up else down for _ in range(horizon)]
 
 
 def enumerate_paths(

@@ -7,34 +7,51 @@ from __future__ import annotations
 from typing import Optional
 
 from .actions import LONG, NEUTRAL, Action, Direction, Move
-from .beliefs import Belief
 from .errors import ConfigurationError
 from .mdp import DecisionProblem, QTable, solve_q
 
 
 class Policy:
     """A pure decision rule over what the trader has seen at time t: the
-    belief, the last move (None at t = 0) and the number of consecutive
-    losing steps up to now (0 after any flat or winning step)."""
+    row of its belief in layer t of `problem`'s belief lattice, the last
+    move (None at t = 0) and the number of consecutive losing steps up to
+    now (0 after any flat or winning step).
+
+    A policy that reads the belief sets `problem` and `children`:
+    ``children[t]`` is the pair (up child rows, down child rows) of lattice
+    layer t < horizon, as lists, so ``children[t][move is Move.DOWN][row]``
+    is the belief's row after `move`. A policy that reads no belief leaves
+    both None and is always shown row 0.
+    """
 
     name: str = "policy"
+    problem: Optional[DecisionProblem] = None
+    children: Optional[list[tuple[list[int], list[int]]]] = None
 
     def decide(
-        self, t: int, belief: Belief, last_move: Optional[Move], losing_streak: int
+        self, t: int, row: int, last_move: Optional[Move], losing_streak: int
     ) -> Action:
         raise NotImplementedError
 
 
 class BellmanOptimal(Policy):
-    """Plays the argmax of the solved Q-table at (t, belief)."""
+    """Plays the argmax of the solved Q-table at (t, belief): the action
+    `table.best[t]` names for the belief's row, looked up in lists built
+    once from the table."""
 
     name = "bellman"
 
     def __init__(self, table: QTable):
         self.table = table
+        self.problem = table.problem
+        lattice, actions = table.lattice, table.problem.action_set
+        self.children = [
+            (lattice.up(t).tolist(), lattice.down(t).tolist()) for t in range(len(table.best))
+        ]
+        self._plays = [[actions[j] for j in best.tolist()] for best in table.best]
 
-    def decide(self, t, belief, last_move, losing_streak) -> Action:
-        return self.table.optimal_action(t, belief)
+    def decide(self, t, row, last_move, losing_streak) -> Action:
+        return self._plays[t][row]
 
 
 class CutLoss(Policy):
@@ -43,7 +60,7 @@ class CutLoss(Policy):
 
     name = "cutloss"
 
-    def decide(self, t, belief, last_move, losing_streak) -> Action:
+    def decide(self, t, row, last_move, losing_streak) -> Action:
         return NEUTRAL if last_move is Move.DOWN else LONG
 
 
@@ -58,7 +75,7 @@ class AverageDown(Policy):
 
     name = "avgdown"
 
-    def decide(self, t, belief, last_move, losing_streak) -> Action:
+    def decide(self, t, row, last_move, losing_streak) -> Action:
         return _LADDER[min(losing_streak, _TOP_RUNG)]
 
 
@@ -67,7 +84,7 @@ class BuyHold(Policy):
 
     name = "buyhold"
 
-    def decide(self, t, belief, last_move, losing_streak) -> Action:
+    def decide(self, t, row, last_move, losing_streak) -> Action:
         return LONG
 
 

@@ -5,18 +5,23 @@ Path i of a run, `SimResult.paths[i]`, is driven by a seed derived from
 independent of execution order; its step at time t is `steps[t]`.
 Policies are compared on common random numbers: every policy sees the same
 move sequences.
+
+The trader's belief is carried as its row in the policy's belief lattice
+(`Policy.children`), advanced by one list lookup per move; no `Belief` is
+built while simulating, and a policy that reads no belief has no row to
+advance.
 """
 
 from __future__ import annotations
 
+import gc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .actions import Action, Move, check_int, shown
-from .beliefs import Belief
 from .errors import ResourceLimitError, ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
 from .mdp import DecisionProblem
@@ -154,18 +159,19 @@ def summarize(paths: Sequence[WealthPath]) -> Stats:
     )
 
 
-def replay(
-    policy: Policy,
-    model: MarketModel,
-    initial_belief: Belief,
-    moves: Sequence[Move],
-) -> WealthPath:
-    """Drive the policy through a fixed move sequence.
+def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthPath:
+    """Drive the policy through a fixed move sequence, from row 0 of its
+    belief lattice, i.e. its problem's initial belief.
 
     This is the whole per-path engine; sampling only chooses `moves`, so
     exact expectations can be taken by replaying every enumerated path.
     """
-    belief = initial_belief
+    children = policy.children
+    if children is not None and len(moves) > len(children):
+        raise ValidationError(
+            f"policy {policy.name} was solved for horizon {len(children)}, got {len(moves)} moves"
+        )
+    row = 0
     wealth = model.initial_wealth
     losing_streak = 0
     last_move: Move | None = None
@@ -173,29 +179,52 @@ def replay(
     append = steps.append
     decide = policy.decide
     u, d = model.u, model.d
-    up = Move.UP
+    up, down = Move.UP, Move.DOWN
     for t, move in enumerate(moves):
-        action = decide(t, belief, last_move, losing_streak)
+        action = decide(t, row, last_move, losing_streak)
         reward = action.stake * (u if move is up else d)
         wealth += reward
         # a flat step earns 0 * tick, +-0.0 and never < 0, so it resets the streak
         losing_streak = losing_streak + 1 if reward < 0 else 0
         # beliefs see every move, even while flat: the tape is public
-        belief = belief.update(move)
+        if children is not None:
+            row = children[t][move is down][row]
         last_move = move
         append(StepRecord(move, action, reward, wealth))
     return WealthPath(initial_wealth=model.initial_wealth, steps=steps)
 
 
 def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
-    """Run one policy over cfg.n_paths seeded paths of a market with the problem's ticks."""
+    """Run one policy over cfg.n_paths seeded paths of a market with the
+    problem's ticks. A policy that reads the belief must have been built
+    for cfg.problem, since its lattice rows mean nothing for another."""
     problem, seed = cfg.problem, cfg.master_seed
     if model.ticks != problem.ticks:
         raise ValidationError(f"market ticks {model.ticks} != problem ticks {problem.ticks}")
+    if policy.problem is not None and policy.problem != problem:
+        differ = [
+            f"{f.name} {getattr(policy.problem, f.name)!r} != {getattr(problem, f.name)!r}"
+            for f in fields(problem)
+            if getattr(policy.problem, f.name) != getattr(problem, f.name)
+        ]
+        raise ValidationError(
+            f"policy {policy.name} was built for another problem: {'; '.join(differ)}"
+        )
     paths = []
-    for i in range(cfg.n_paths):
-        moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
-        paths.append(replay(policy, model, problem.initial_belief, moves))
+    # Every object a path makes is a StepRecord, a WealthPath or a list of
+    # records, and none refers back to another, so reference counting frees
+    # them all. Left on, the cyclic collector would only rescan the growing
+    # set of retained records, again and again; its previous state comes
+    # back even when a path raises.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(cfg.n_paths):
+            moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
+            paths.append(replay(policy, model, moves))
+    finally:
+        if collecting:
+            gc.enable()
     terminals = np.array([p.terminal_wealth for p in paths])
     # overflow is caught by _check_finite and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):

@@ -69,6 +69,8 @@ def test_simulate(tmp_path, policy, decide):
     assert _decisions(counts) == PATHS * T
     assert counts["sim.retained_records"] == PATHS * T
     assert calls[f"policies.{decide}.decide"] == PATHS * T
+    # a policy that reads no belief has no belief updated for it
+    assert calls["beliefs.Mirror.update"] == 0
     for name in ("market.sample_moves", "market.derive_path_seed", "sim.replay"):
         assert calls[name] == PATHS
     assert calls["sim.run"] == calls["sim.summarize"] == calls["policies.make_policy"] == 1
@@ -81,9 +83,10 @@ def test_compare(tmp_path):
     counts, calls = _trace(tmp_path, config, argv)
     assert _decisions(counts) == 3 * PATHS * T
     assert calls["market.sample_moves"] == 3 * PATHS
-    assert calls["mdp.QTable.optimal_action"] == PATHS * T
-    # sim.replay updates the belief on every step of every policy
-    assert calls["beliefs.BetaBernoulli.update"] == 3 * PATHS * T
+    # sim.replay carries the belief as a lattice row: bellman looks its
+    # action up by row, and no policy has a Belief updated or looked up
+    assert calls["mdp.QTable.optimal_action"] == 0
+    assert calls["beliefs.BetaBernoulli.update"] == 0
     assert calls["sim.compare"] == calls["mdp.solve_q"] == 1
     assert calls["sim.run"] == 3
 

@@ -22,10 +22,10 @@ def model(p=0.5, u=10.0, d=-10.0):
 
 class TestSamplePath:
     def test_certain_up(self):
-        assert sample_moves(1.0, 5, path_seed=123) == (Move.UP,) * 5
+        assert sample_moves(1.0, 5, path_seed=123) == [Move.UP] * 5
 
     def test_certain_down(self):
-        assert sample_moves(0.0, 3, path_seed=9) == (Move.DOWN,) * 3
+        assert sample_moves(0.0, 3, path_seed=9) == [Move.DOWN] * 3
 
     def test_deterministic_in_seed(self):
         a = sample_moves(0.37, 50, path_seed=777)
@@ -105,7 +105,7 @@ class TestEnumeratePaths:
         n = 100_000
         counts = {moves: 0 for moves in expected}
         for i in range(n):
-            counts[sample_moves(m.p_up, 3, derive_path_seed(99, i))] += 1
+            counts[tuple(sample_moves(m.p_up, 3, derive_path_seed(99, i)))] += 1
         chi2 = sum(
             (counts[mv] - n * pr) ** 2 / (n * pr) for mv, pr in expected.items()
         )

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,18 +9,21 @@ from otl import (
     ConfigurationError,
     DecisionProblem,
     Direction,
+    MarketModel,
     Mirror,
     Move,
     Static,
+    enumerate_paths,
     make_policy,
 )
+from otl.sim import replay
 
 TICKS = (10.0, -10.0)
 
 
-def ctx(t=0, belief=Static(0.6), last_move=None, losing_streak=0):
+def ctx(t=0, row=0, last_move=None, losing_streak=0):
     """The arguments of Policy.decide, in order."""
-    return t, belief, last_move, losing_streak
+    return t, row, last_move, losing_streak
 
 
 def problem(horizon=3, belief=Static(0.6), actions=(NEUTRAL, LONG, SHORT)):
@@ -100,15 +101,9 @@ class TestPolicyEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.55, 0.95), st.integers(1, 6))
     def test_identical_on_every_path(self, confidence, T):
-        belief0 = Mirror(confidence, Move.UP)
-        prob = problem(horizon=T, belief=belief0, actions=(LONG, NEUTRAL))
+        prob = problem(horizon=T, belief=Mirror(confidence, Move.UP), actions=(LONG, NEUTRAL))
         bellman = make_policy("bellman", prob)
         cutloss = make_policy("cutloss", prob)
-        for moves in itertools.product(list(Move), repeat=T):
-            belief = belief0
-            last = None
-            for t in range(T):
-                c1 = ctx(t=t, belief=belief, last_move=last)
-                assert bellman.decide(*c1) == cutloss.decide(*c1)
-                belief = belief.update(moves[t])
-                last = moves[t]
+        m = MarketModel(u=10.0, d=-10.0, p_up=0.5)
+        for moves, _ in enumerate_paths(m, T):
+            assert replay(bellman, m, moves).steps == replay(cutloss, m, moves).steps

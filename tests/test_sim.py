@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 
@@ -7,6 +8,8 @@ from otl import (
     LONG,
     NEUTRAL,
     SHORT,
+    BellmanOptimal,
+    BetaBernoulli,
     DecisionProblem,
     MarketModel,
     Mirror,
@@ -18,8 +21,11 @@ from otl import (
     enumerate_paths,
     make_policy,
     run,
+    solve_q,
     summarize,
 )
+from otl import sim
+from otl.beliefs import _BetaCounts, _Layers
 from otl.errors import ResourceLimitError
 from otl.sim import MAX_PATH_STEPS, SimConfig, StepRecord, WealthPath, replay
 
@@ -95,7 +101,7 @@ class TestRun:
     def test_beliefs_update_while_flat(self):
         # a mirror trader who exits after a loss must re-enter on the next up
         pol = make_policy("bellman", problem(3, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL)))
-        path = replay(pol, market(0.5), Mirror(0.6, Move.UP), [Move.DOWN, Move.UP, Move.UP])
+        path = replay(pol, market(0.5), [Move.DOWN, Move.UP, Move.UP])
         assert [s.action for s in path.steps] == [LONG, NEUTRAL, LONG]
 
     @pytest.mark.parametrize("kind", ["bellman", "cutloss"])
@@ -108,6 +114,52 @@ class TestRun:
             run(pol, odd, cfg(100, 5))
         with pytest.raises(ValidationError, match="!= problem ticks"):
             compare([pol], odd, cfg(100, 5))
+
+    @pytest.mark.parametrize(
+        "solved, differ",
+        [
+            (problem(5), "horizon 5 != 3"),  # once played a 3-step run silently
+            (problem(2), "horizon 2 != 3"),
+            (problem(3, belief=Static(0.7)), "initial_belief Static(q_up=0.7) != Static(q_up=0.6)"),
+        ],
+        ids=["longer-table", "shorter-table", "other-prior"],
+    )
+    def test_bellman_table_must_be_the_problems(self, solved, differ, monkeypatch):
+        # lattice rows of another problem's table are rows of another lattice
+        sampled = []
+        monkeypatch.setattr(sim, "sample_moves", lambda *args: sampled.append(args))
+        pol = make_policy("bellman", solved)
+        with pytest.raises(ValidationError, match=re.escape(f"built for another problem: {differ}")):
+            run(pol, market(0.5), cfg(100, 3, seed=1))
+        assert sampled == []
+
+    def test_replay_rejects_moves_past_the_table(self):
+        pol = make_policy("bellman", problem(2))
+        with pytest.raises(ValidationError, match="solved for horizon 2, got 3 moves"):
+            replay(pol, market(0.5), [Move.UP] * 3)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_for_the_path_loop_only(self, enabled):
+        seen = []
+
+        class Watcher(Policy):
+            name = "watcher"
+
+            def decide(self, t, row, last_move, losing_streak):
+                seen.append(gc.isenabled())
+                if len(seen) == 5:
+                    raise RuntimeError("stop")
+                return LONG
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="stop"):
+                run(Watcher(), market(0.5), cfg(10, 2))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * 5
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValidationError):
@@ -128,7 +180,7 @@ class TestRun:
         pol = make_policy("cutloss", prob)
         m = market(p)
         exact = sum(
-            probability * replay(pol, m, Mirror(0.6, Move.UP), moves).terminal_wealth
+            probability * replay(pol, m, moves).terminal_wealth
             for moves, probability in enumerate_paths(m, T)
         )
         n = 40_000
@@ -146,7 +198,7 @@ class _StreakRecorder(Policy):
     def __init__(self):
         self.streaks = []
 
-    def decide(self, t, belief, last_move, losing_streak):
+    def decide(self, t, row, last_move, losing_streak):
         self.streaks.append(losing_streak)
         return NEUTRAL if t % 3 == 0 else LONG
 
@@ -156,7 +208,7 @@ class TestLosingStreak:
         T, m = 8, market(0.5)
         for moves, _ in enumerate_paths(m, T):
             pol = _StreakRecorder()
-            steps = replay(pol, m, Static(0.6), moves).steps
+            steps = replay(pol, m, moves).steps
             seen = pol.streaks
             assert seen[0] == 0
             for t in range(T - 1):
@@ -167,6 +219,49 @@ class TestLosingStreak:
                     assert after == before + 1
                 else:
                     assert after == 0
+
+
+class _RowRecorder(BellmanOptimal):
+    """Plays bellman and records the lattice row it is shown at each t."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.rows = []
+
+    def decide(self, t, row, last_move, losing_streak):
+        self.rows.append(row)
+        return super().decide(t, row, last_move, losing_streak)
+
+
+class TestRowWalk:
+    """Oracle for replay's belief rows: the row reached by the lattice's
+    child lists holds the belief `Belief.update` reaches, and bellman plays
+    `optimal_action` at that belief, on every path."""
+
+    @pytest.mark.parametrize(
+        "belief0, lattice_kind",
+        [
+            (Static(0.6), _Layers),
+            (Mirror(0.6, Move.UP), _Layers),
+            (BetaBernoulli(3, 2), _Layers),  # int counts: the closure
+            (BetaBernoulli(3.0, 2.0), _BetaCounts),  # float counts: the closed form
+        ],
+        ids=["static", "mirror", "beta-int", "beta-float"],
+    )
+    @pytest.mark.parametrize("T", range(9))
+    def test_rows_follow_update_on_every_path(self, belief0, lattice_kind, T):
+        m = market(0.5)
+        table = solve_q(problem(T, belief0))
+        assert type(table.lattice) is lattice_kind
+        layers = [table.lattice.beliefs(t) for t in range(T + 1)]
+        for moves, _ in enumerate_paths(m, T):
+            pol = _RowRecorder(table)
+            steps = replay(pol, m, moves).steps
+            belief = belief0
+            for t, move in enumerate(moves):
+                assert layers[t][pol.rows[t]] == belief
+                assert steps[t].action == table.optimal_action(t, belief)
+                belief = belief.update(move)
 
 
 class TestCompare:
