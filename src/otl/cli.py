@@ -192,6 +192,9 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
     kinds = [_parse_policy_name(n) for n in names]
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ConfigurationError(f"--policies names {kind} more than once")
     sim_cfg = cfg.sim_config()
     with _outputs(paths, stats) as (paths_out, stats_out):
         policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]

@@ -4,40 +4,39 @@ behaviors it is compared against (cut losses, average down, buy and hold).
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Optional, Sequence
 
-from .actions import LONG, NEUTRAL, Action, Direction, Move
+from .actions import LONG, NEUTRAL, Action, Direction
 from .errors import ConfigurationError
 from .mdp import DecisionProblem, QTable, solve_q
 
 
 class Policy:
-    """A pure decision rule over what the trader has seen at time t: the
-    row of its belief in layer t of `problem`'s belief lattice, the last
-    move (None at t = 0) and the number of consecutive losing steps up to
-    now (0 after any flat or winning step).
+    """A deterministic automaton over the move tape. It starts in state 0 at
+    t = 0, plays `act[state]`, and after each move goes to `up[state]` or
+    `down[state]`. It sees every move, even while flat.
 
-    A policy that reads the belief sets `problem` and `children`:
-    ``children[t]`` is the pair (up child rows, down child rows) of lattice
-    layer t < horizon, as lists, so ``children[t][move is Move.DOWN][row]``
-    is the belief's row after `move`. A policy that reads no belief leaves
-    both None and is always shown row 0.
+    A policy that reads the belief sets `problem`: its states are that
+    problem's stage states and mean nothing in another problem. A policy
+    that reads no belief leaves it None.
     """
 
     name: str = "policy"
     problem: Optional[DecisionProblem] = None
-    children: Optional[list[tuple[list[int], list[int]]]] = None
+    up: Sequence[int]
+    down: Sequence[int]
+    act: Sequence[Action]
 
-    def decide(
-        self, t: int, row: int, last_move: Optional[Move], losing_streak: int
-    ) -> Action:
-        raise NotImplementedError
+    def decide(self, state: int) -> Action:
+        return self.act[state]
 
 
 class BellmanOptimal(Policy):
-    """Plays the argmax of the solved Q-table at (t, belief): the action
-    `table.best[t]` names for the belief's row, looked up in lists built
-    once from the table."""
+    """Plays the argmax of the solved Q-table at (t, belief). A state is a
+    stage state, numbered layer after layer, so state `offset + row` holds
+    the belief of row `row` of lattice layer t, where `offset` is the
+    number of rows in layers before t; it plays `table.best[t][row]`."""
 
     name = "bellman"
 
@@ -45,47 +44,45 @@ class BellmanOptimal(Policy):
         self.table = table
         self.problem = table.problem
         lattice, actions = table.lattice, table.problem.action_set
-        self.children = [
-            (lattice.up(t).tolist(), lattice.down(t).tolist()) for t in range(len(table.best))
-        ]
-        self._plays = [[actions[j] for j in best.tolist()] for best in table.best]
-
-    def decide(self, t, row, last_move, losing_streak) -> Action:
-        return self._plays[t][row]
+        # one int object per state, shared by every list that names it
+        states = list(range(sum(lattice.sizes)))
+        offsets = list(itertools.accumulate(lattice.sizes, initial=0))
+        self.up, self.down, self.act = [], [], []
+        for t, best in enumerate(table.best):
+            layer = states[offsets[t + 1] : offsets[t + 2]]
+            self.up += map(layer.__getitem__, lattice.up(t).tolist())
+            self.down += map(layer.__getitem__, lattice.down(t).tolist())
+            self.act += map(actions.__getitem__, best.tolist())
 
 
 class CutLoss(Policy):
     """Long one unit at the start or after an up move; flat after a down
-    move, re-entering on the next up."""
+    move, re-entering on the next up. State 1 follows a down move."""
 
     name = "cutloss"
-
-    def decide(self, t, row, last_move, losing_streak) -> Action:
-        return NEUTRAL if last_move is Move.DOWN else LONG
-
-
-# the average-down stake ladder: long 1, 2, 4, ..., 64
-_LADDER = tuple(Action(Direction.LONG, 2**r) for r in range(7))
-_TOP_RUNG = len(_LADDER) - 1
+    up = (0, 0)
+    down = (1, 1)
+    act = (LONG, NEUTRAL)
 
 
 class AverageDown(Policy):
     """Doubles the stake on every losing step, never exits on losses, and
-    resets to one unit after a winning step. The stake is capped at 64."""
+    resets to one unit after a winning step. The stake is capped at 64.
+    State k is the losing streak, capped at 6, and plays long 2**k. It is
+    always long and ticks have u > 0 > d, so a losing step is a down move."""
 
     name = "avgdown"
-
-    def decide(self, t, row, last_move, losing_streak) -> Action:
-        return _LADDER[min(losing_streak, _TOP_RUNG)]
+    up = (0,) * 7
+    down = (1, 2, 3, 4, 5, 6, 6)
+    act = tuple(Action(Direction.LONG, 2**k) for k in range(7))
 
 
 class BuyHold(Policy):
     """Long one unit, always."""
 
     name = "buyhold"
-
-    def decide(self, t, row, last_move, losing_streak) -> Action:
-        return LONG
+    up = down = (0,)
+    act = (LONG,)
 
 
 # heuristic kind -> (policy class, the unit actions it plays)

@@ -6,10 +6,10 @@ independent of execution order; its step at time t is `steps[t]`.
 Policies are compared on common random numbers: every policy sees the same
 move sequences.
 
-The trader's belief is carried as its row in the policy's belief lattice
-(`Policy.children`), advanced by one list lookup per move; no `Belief` is
-built while simulating, and a policy that reads no belief has no row to
-advance.
+Every policy is a finite automaton over the move tape (`Policy`): a path
+starts in state 0, plays `decide(state)` and steps through the policy's `up`
+or `down` list after each move. Bellman's state is its stage state (a row
+of a belief-lattice layer), so no `Belief` is built while simulating.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .policies import Policy
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # bound on n_paths x horizon: every step of every path is kept as a
 # StepRecord, ~133 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
-# ~0.67 GB per policy at the bound; compare keeps one set per policy
+# ~0.67 GB per policy at the bound; compare keeps one set per policy, and
+# the CLI names each of the 4 policy kinds at most once
 MAX_PATH_STEPS = 5_000_000
 
 
@@ -160,36 +161,32 @@ def summarize(paths: Sequence[WealthPath]) -> Stats:
 
 
 def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthPath:
-    """Drive the policy through a fixed move sequence, from row 0 of its
-    belief lattice, i.e. its problem's initial belief.
+    """Drive the policy's automaton through a fixed move sequence from its
+    state 0.
 
     This is the whole per-path engine; sampling only chooses `moves`, so
     exact expectations can be taken by replaying every enumerated path.
     """
-    children = policy.children
-    if children is not None and len(moves) > len(children):
+    problem = policy.problem
+    if problem is not None and len(moves) > problem.horizon:
         raise ValidationError(
-            f"policy {policy.name} was solved for horizon {len(children)}, got {len(moves)} moves"
+            f"policy {policy.name} was solved for horizon {problem.horizon}, got {len(moves)} moves"
         )
-    row = 0
+    state = 0
     wealth = model.initial_wealth
-    losing_streak = 0
-    last_move: Move | None = None
     steps: list[StepRecord] = []
     append = steps.append
-    decide = policy.decide
-    u, d = model.u, model.d
-    up, down = Move.UP, Move.DOWN
-    for t, move in enumerate(moves):
-        action = decide(t, row, last_move, losing_streak)
-        reward = action.stake * (u if move is up else d)
+    decide, up, down = policy.decide, policy.up, policy.down
+    u, d, up_move = model.u, model.d, Move.UP
+    for move in moves:
+        action = decide(state)
+        if move is up_move:
+            reward = action.stake * u
+            state = up[state]
+        else:
+            reward = action.stake * d
+            state = down[state]
         wealth += reward
-        # a flat step earns 0 * tick, +-0.0 and never < 0, so it resets the streak
-        losing_streak = losing_streak + 1 if reward < 0 else 0
-        # beliefs see every move, even while flat: the tape is public
-        if children is not None:
-            row = children[t][move is down][row]
-        last_move = move
         append(StepRecord(move, action, reward, wealth))
     return WealthPath(initial_wealth=model.initial_wealth, steps=steps)
 

@@ -280,6 +280,16 @@ class TestCompareCommand:
         code = main(["compare", "--config", config_file, "--policies", ",", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("names", ["cutloss,cutloss,Cutloss", "bellman,cutloss, BELLMAN"])
+    def test_repeated_policy_exits_2(self, names, config_file, tmp_path, capsys):
+        # each repeat would keep another full set of step records
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", config_file, "--policies", names, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        repeated = names.split(",")[0]
+        assert f"--policies names {repeated} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOneSimulationPath:
     """`simulate` is a one-policy `compare` that also writes the path CSV."""

@@ -21,9 +21,12 @@ from otl.sim import replay
 TICKS = (10.0, -10.0)
 
 
-def ctx(t=0, row=0, last_move=None, losing_streak=0):
-    """The arguments of Policy.decide, in order."""
-    return t, row, last_move, losing_streak
+def after(pol, *moves):
+    """The state `pol` reaches from state 0 through `moves`."""
+    state = 0
+    for move in moves:
+        state = (pol.up if move is Move.UP else pol.down)[state]
+    return state
 
 
 def problem(horizon=3, belief=Static(0.6), actions=(NEUTRAL, LONG, SHORT)):
@@ -33,15 +36,17 @@ def problem(horizon=3, belief=Static(0.6), actions=(NEUTRAL, LONG, SHORT)):
 class TestCutLoss:
     def test_enters_long_at_start(self):
         pol = make_policy("cutloss", problem())
-        assert pol.decide(*ctx(last_move=None)) == LONG
+        assert pol.decide(0) == LONG
 
     def test_exits_after_down_move(self):
         pol = make_policy("cutloss", problem())
-        assert pol.decide(*ctx(last_move=Move.DOWN)) == NEUTRAL
+        assert pol.decide(after(pol, Move.DOWN)) == NEUTRAL
+        assert pol.decide(after(pol, Move.UP, Move.DOWN)) == NEUTRAL
 
     def test_reenters_after_up_move(self):
         pol = make_policy("cutloss", problem())
-        assert pol.decide(*ctx(last_move=Move.UP)) == LONG
+        assert pol.decide(after(pol, Move.UP)) == LONG
+        assert pol.decide(after(pol, Move.DOWN, Move.UP)) == LONG
 
     def test_requires_neutral_action(self):
         with pytest.raises(ConfigurationError):
@@ -51,21 +56,22 @@ class TestCutLoss:
 class TestAverageDown:
     def test_doubles_with_the_losing_streak(self):
         pol = make_policy("avgdown", problem())
-        assert pol.decide(*ctx(losing_streak=2)) == Action(Direction.LONG, 4)
+        assert pol.decide(after(pol, Move.DOWN, Move.DOWN)) == Action(Direction.LONG, 4)
 
     def test_fresh_position_is_one_unit(self):
         pol = make_policy("avgdown", problem())
-        assert pol.decide(*ctx()) == LONG
+        assert pol.decide(0) == LONG
+        assert pol.decide(after(pol, Move.DOWN, Move.DOWN, Move.UP)) == LONG
 
     def test_ladder_sequence(self):
         pol = make_policy("avgdown", problem())
-        sizes = [pol.decide(*ctx(losing_streak=k)).size for k in range(10)]
+        sizes = [pol.decide(after(pol, *[Move.DOWN] * k)).size for k in range(10)]
         assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 64, 64]
 
     def test_never_exits_on_losses(self):
         pol = make_policy("avgdown", problem())
         for k in range(8):
-            assert pol.decide(*ctx(losing_streak=k)).direction is Direction.LONG
+            assert pol.decide(after(pol, *[Move.DOWN] * k)).direction is Direction.LONG
 
     def test_requires_long_action(self):
         with pytest.raises(ConfigurationError):
@@ -75,14 +81,14 @@ class TestAverageDown:
 class TestBuyHold:
     def test_always_long_one_unit(self):
         pol = make_policy("buyhold", problem())
-        for streak, move in [(0, None), (0, Move.DOWN), (3, Move.UP)]:
-            assert pol.decide(*ctx(losing_streak=streak, last_move=move)) == LONG
+        for moves in [(), (Move.DOWN,), (Move.DOWN,) * 3 + (Move.UP,)]:
+            assert pol.decide(after(pol, *moves)) == LONG
 
 
 class TestBellmanOptimal:
     def test_first_decision_of_a_bull(self):
         pol = make_policy("bellman", problem(horizon=1))
-        assert pol.decide(*ctx()) == LONG
+        assert pol.decide(0) == LONG
 
     def test_solves_table_when_not_supplied(self):
         prob = problem(horizon=2, belief=Mirror(0.6, Move.UP))
@@ -107,3 +113,25 @@ class TestPolicyEquivalence:
         m = MarketModel(u=10.0, d=-10.0, p_up=0.5)
         for moves, _ in enumerate_paths(m, T):
             assert replay(bellman, m, moves).steps == replay(cutloss, m, moves).steps
+
+
+class TestProductMachine:
+    """Bellman and cut-loss as one product automaton: from (0, 0), every
+    reachable pair of their states, T layers deep, plays the same action."""
+
+    def test_every_reachable_pair_agrees(self):
+        T = 2000
+        prob = problem(horizon=T, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL))
+        bellman = make_policy("bellman", prob)
+        cutloss = make_policy("cutloss", prob)
+        layer, pairs = {(0, 0)}, 0
+        for _ in range(T):
+            for b, c in layer:
+                assert bellman.decide(b) == cutloss.decide(c), (b, c)
+            pairs += len(layer)
+            layer = {
+                pair
+                for b, c in layer
+                for pair in ((bellman.up[b], cutloss.up[c]), (bellman.down[b], cutloss.down[c]))
+            }
+        assert pairs == 2 * T - 1

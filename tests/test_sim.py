@@ -8,9 +8,11 @@ from otl import (
     LONG,
     NEUTRAL,
     SHORT,
+    Action,
     BellmanOptimal,
     BetaBernoulli,
     DecisionProblem,
+    Direction,
     MarketModel,
     Mirror,
     Move,
@@ -144,8 +146,9 @@ class TestRun:
 
         class Watcher(Policy):
             name = "watcher"
+            up = down = (0,)
 
-            def decide(self, t, row, last_move, losing_streak):
+            def decide(self, state):
                 seen.append(gc.isenabled())
                 if len(seen) == 5:
                     raise RuntimeError("stop")
@@ -189,54 +192,47 @@ class TestRun:
         assert abs(res.stats.mean_terminal - exact) < 3 * se
 
 
-class _StreakRecorder(Policy):
-    """Records the losing streak it is shown; flat at t = 0, 3, 6, ... and
-    long one unit otherwise, so that streaks both grow and meet flat steps."""
+class TestHeuristicRules:
+    """Oracle for the heuristics' automata: their stakes on every path,
+    worked out from the move tape by the rules as written."""
 
-    name = "recorder"
-
-    def __init__(self):
-        self.streaks = []
-
-    def decide(self, t, row, last_move, losing_streak):
-        self.streaks.append(losing_streak)
-        return NEUTRAL if t % 3 == 0 else LONG
-
-
-class TestLosingStreak:
-    def test_streak_bookkeeping_on_every_path(self):
+    def test_avgdown_doubles_after_down_resets_after_up(self):
         T, m = 8, market(0.5)
+        pol = make_policy("avgdown", problem(T))
         for moves, _ in enumerate_paths(m, T):
-            pol = _StreakRecorder()
+            stake, stakes = 1, []
+            for move in moves:
+                stakes.append(stake)
+                stake = min(2 * stake, 64) if move is Move.DOWN else 1
             steps = replay(pol, m, moves).steps
-            seen = pol.streaks
-            assert seen[0] == 0
-            for t in range(T - 1):
-                before, after = seen[t], seen[t + 1]
-                if steps[t].action is NEUTRAL:
-                    assert after == 0
-                elif steps[t].move is Move.DOWN:
-                    assert after == before + 1
-                else:
-                    assert after == 0
+            assert [s.action for s in steps] == [Action(Direction.LONG, k) for k in stakes]
+
+    def test_cutloss_flat_exactly_after_a_down_move(self):
+        T, m = 8, market(0.5)
+        pol = make_policy("cutloss", problem(T))
+        for moves, _ in enumerate_paths(m, T):
+            steps = replay(pol, m, moves).steps
+            after_down = [False] + [move is Move.DOWN for move in moves[:-1]]
+            assert [s.action for s in steps] == [NEUTRAL if flat else LONG for flat in after_down]
 
 
-class _RowRecorder(BellmanOptimal):
-    """Plays bellman and records the lattice row it is shown at each t."""
+class _StateRecorder(BellmanOptimal):
+    """Plays bellman and records the state it is in at each t."""
 
     def __init__(self, table):
         super().__init__(table)
-        self.rows = []
+        self.states = []
 
-    def decide(self, t, row, last_move, losing_streak):
-        self.rows.append(row)
-        return super().decide(t, row, last_move, losing_streak)
+    def decide(self, state):
+        self.states.append(state)
+        return super().decide(state)
 
 
 class TestRowWalk:
-    """Oracle for replay's belief rows: the row reached by the lattice's
-    child lists holds the belief `Belief.update` reaches, and bellman plays
-    `optimal_action` at that belief, on every path."""
+    """Oracle for bellman's states: state minus the number of rows in the
+    layers before t is the row of layer t that holds the belief
+    `Belief.update` reaches, and bellman plays `optimal_action` at that
+    belief, on every path."""
 
     @pytest.mark.parametrize(
         "belief0, lattice_kind",
@@ -254,12 +250,13 @@ class TestRowWalk:
         table = solve_q(problem(T, belief0))
         assert type(table.lattice) is lattice_kind
         layers = [table.lattice.beliefs(t) for t in range(T + 1)]
+        offsets = [sum(table.lattice.sizes[:t]) for t in range(T + 1)]
         for moves, _ in enumerate_paths(m, T):
-            pol = _RowRecorder(table)
+            pol = _StateRecorder(table)
             steps = replay(pol, m, moves).steps
             belief = belief0
             for t, move in enumerate(moves):
-                assert layers[t][pol.rows[t]] == belief
+                assert layers[t][pol.states[t] - offsets[t]] == belief
                 assert steps[t].action == table.optimal_action(t, belief)
                 belief = belief.update(move)
 
