@@ -82,6 +82,8 @@ class Mirror(Belief):
             raise ValidationError(
                 f"Mirror confidence must be in [0.5,1), got {shown(self.confidence)}"
             )
+        if not isinstance(self.favored, Move):
+            raise ValidationError(f"Mirror favored must be a Move, got {self.favored!r}")
 
     def predictive(self) -> float:
         if self.favored is Move.UP:

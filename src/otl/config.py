@@ -34,7 +34,6 @@ class RunConfig:
     market_initial_wealth: float = 1000.0
     problem_horizon: int = 5
     problem_actions: str = "neutral,long,short"
-    problem_discount: float = 1.0
     belief_kind: str = "static"
     belief_q0: float = 0.6
     belief_confidence: float = 0.6
@@ -75,7 +74,6 @@ class RunConfig:
             ticks=(self.market_u, self.market_d),
             initial_belief=self.belief(),
             action_set=self.actions(),
-            per_step_discount=self.problem_discount,
         )
 
     def sim_config(self) -> SimConfig:

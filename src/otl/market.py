@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .actions import Move, check_finite, check_ticks, shown
+from .actions import Move, check_finite, check_int, check_ticks, shown
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -23,11 +23,14 @@ from .errors import ResourceLimitError, ValidationError
 MAX_ENUM_HORIZON = 20
 
 
-def _check_horizon(horizon: int) -> None:
+def _check_horizon(horizon: int) -> int:
+    """`horizon` as an int, if it is one in [0, MAX_ENUM_HORIZON]."""
+    horizon = check_int(horizon, "horizon")
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {shown(horizon)}")
     if horizon > MAX_ENUM_HORIZON:
         raise ResourceLimitError(f"horizon {shown(horizon)} exceeds bound {MAX_ENUM_HORIZON}")
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def enumerate_paths(
     Each probability is the left-to-right product of its moves' weights,
     taken one move at a time across all paths at once.
     """
-    _check_horizon(horizon)
+    horizon = _check_horizon(horizon)
     p = model.p_up
     probs = np.ones(1)
     for _ in range(horizon):
@@ -113,7 +116,7 @@ def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
     node is the expectation, under the model's p_up, of the next step's
     dividend plus its value. Levels move by the model's ticks.
     """
-    _check_horizon(horizon)
+    horizon = _check_horizon(horizon)
     p = model.p_up
 
     # Level after k up moves out of t total is determined by (t, k).

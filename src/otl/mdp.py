@@ -31,14 +31,12 @@ class DecisionProblem:
     any such pair is kept as a tuple, so the problem stays hashable.
     action_set order is the argmax tie-break order; the shipped default
     (neutral, long, short) stays out when indifferent.
-    per_step_discount multiplies the step reward by discount**t.
     """
 
     horizon: int
     ticks: tuple[float, float]
     initial_belief: Belief
     action_set: tuple[Action, ...] = DEFAULT_ACTIONS
-    per_step_discount: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", check_int(self.horizon, "horizon"))
@@ -58,10 +56,6 @@ class DecisionProblem:
         if len(set(actions)) != len(actions):
             raise ValidationError("action_set contains duplicates")
         object.__setattr__(self, "action_set", actions)
-        if not 0.0 < self.per_step_discount <= 1.0:
-            raise ValidationError(
-                f"per_step_discount must be in (0,1], got {shown(self.per_step_discount)}"
-            )
 
 
 class _TableView(Mapping):
@@ -134,9 +128,6 @@ class QTable:
             sum(lattice.sizes[:T]) * len(actions),
         )
 
-    def reachable_beliefs(self, t: int) -> list[Belief]:
-        return self.lattice.beliefs(t)
-
     def _row(self, t: int, belief: Belief, key: str = "") -> int:
         """The belief's row in layer t; `key` extends the unreachable-state message."""
         row = self.lattice.row(t, belief)
@@ -183,6 +174,8 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     lattice = problem.initial_belief.lattice(T, max_states)
     u, d = problem.ticks
     actions = problem.action_set
+    r_up = np.array([a.stake * u for a in actions])
+    r_dn = np.array([a.stake * d for a in actions])
     v = np.zeros(lattice.sizes[T])
     qs: list[np.ndarray] = []
     best: list[np.ndarray] = []
@@ -190,9 +183,6 @@ def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTa
     # overflow is caught below, as a non-finite Q, and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1, -1, -1):
-            disc = problem.per_step_discount**t
-            r_up = np.array([disc * a.stake * u for a in actions])
-            r_dn = np.array([disc * a.stake * d for a in actions])
             q_up = lattice.predictive(t)[:, None]
             v_up = v[lattice.up(t)][:, None]
             v_dn = v[lattice.down(t)][:, None]

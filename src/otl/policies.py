@@ -41,7 +41,6 @@ class BellmanOptimal(Policy):
     name = "bellman"
 
     def __init__(self, table: QTable):
-        self.table = table
         self.problem = table.problem
         lattice, actions = table.lattice, table.problem.action_set
         # one int object per state, shared by every list that names it

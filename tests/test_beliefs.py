@@ -67,6 +67,11 @@ class TestInvariants:
             Mirror(1.0)
         Mirror(0.5)  # boundary allowed
 
+    def test_mirror_favored_must_be_a_move(self):
+        # "up" is not Move.UP: predictive() would read it as down
+        with pytest.raises(ValidationError, match="Mirror favored must be a Move, got 'up'"):
+            Mirror(0.6, "up")
+
     def test_beta_positivity(self):
         with pytest.raises(ValidationError):
             BetaBernoulli(0, 1)

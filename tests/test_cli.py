@@ -55,9 +55,12 @@ class TestConfigParsing:
         cfg = parse_config("# only a comment\n\nmarket.p = 0.3  # inline\n")
         assert cfg.market_p == 0.3
 
-    def test_unknown_key_carries_line_number(self):
-        with pytest.raises(ConfigurationError, match="line 2"):
-            parse_config("market.u = 10\nmarket.volatility = 3\n")
+    # Q is undiscounted, so problem.discount is no key
+    @pytest.mark.parametrize("line", ["market.volatility = 3", "problem.discount = 0.9"])
+    def test_unknown_key_carries_line_number(self, line):
+        key = line.partition(" = ")[0]
+        with pytest.raises(ConfigurationError, match=f"^line 2: unknown key '{key}'$"):
+            parse_config(f"market.u = 10\n{line}\n")
 
     def test_bad_value_carries_line_number(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -138,7 +141,6 @@ class TestSolveCommand:
             "market.initial_wealth = 1000.0",
             "problem.horizon = 5",
             "problem.actions = neutral,long,short",
-            "problem.discount = 1.0",
             "belief.kind = static",
             "belief.q0 = 0.6",
             "belief.confidence = 0.6",
@@ -191,7 +193,7 @@ class TestSolveCommand:
         expected_rows = []
         expected_best = []
         for t in range(8):
-            for b in sorted(table.reachable_beliefs(t), key=belief_id):
+            for b in sorted(table.lattice.beliefs(t), key=belief_id):
                 best = table.optimal_action(t, b)
                 for a in table.problem.action_set:
                     q = repr(table.q(t, b, a))
@@ -204,7 +206,7 @@ class TestSolveCommand:
 
         best_lines = [line for line in stdout.splitlines() if " -> " in line]
         assert best_lines == expected_best
-        assert len(best_lines) == sum(len(table.reachable_beliefs(t)) for t in range(8))
+        assert len(best_lines) == sum(len(table.lattice.beliefs(t)) for t in range(8))
 
 
 class TestSimulateCommand:
@@ -497,7 +499,6 @@ _VALID = {
     "problem.actions": st.lists(
         st.sampled_from(["long", "neutral", "short"]), min_size=1, max_size=3, unique=True
     ).map(",".join),
-    "problem.discount": _floats(0.0, 1.0, exclude_min=True),
     "belief.kind": st.sampled_from(["static", "mirror", "beta"]),
     "belief.q0": _floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "belief.confidence": _floats(0.5, 1.0, exclude_max=True),

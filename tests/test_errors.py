@@ -39,7 +39,6 @@ CASES = {
     "Mirror": (lambda: Mirror(H), ValidationError),
     "MarketModel-p_up": (lambda: MarketModel(u=1.0, d=-1.0, p_up=H), ValidationError),
     "DecisionProblem-horizon": (lambda: problem(horizon=-H), ValidationError),
-    "DecisionProblem-discount": (lambda: problem(per_step_discount=H), ValidationError),
     "Action-size": (lambda: Action(Direction.LONG, -H), ValidationError),
     "SimConfig-n_paths-low": (lambda: SimConfig(problem(), -H, 0), ValidationError),
     "SimConfig-n_paths-high": (lambda: SimConfig(problem(), H, 0), ResourceLimitError),
@@ -77,8 +76,17 @@ def test_small_rejected_values_are_printed():
         (lambda: problem(horizon=2.5), "horizon"),
         (lambda: SimConfig(problem(), 2.5, 0), "n_paths"),
         (lambda: SimConfig(problem(), 1, 2.5), "master_seed"),
+        (lambda: enumerate_paths(MODEL, 2.5), "horizon"),
+        (lambda: price_process(MODEL, DIVIDENDS, 2.5), "horizon"),
     ],
-    ids=["Action-size", "DecisionProblem-horizon", "SimConfig-n_paths", "SimConfig-master_seed"],
+    ids=[
+        "Action-size",
+        "DecisionProblem-horizon",
+        "SimConfig-n_paths",
+        "SimConfig-master_seed",
+        "enumerate_paths",
+        "price_process",
+    ],
 )
 def test_integer_fields_reject_non_integers(call, field):
     with pytest.raises(ValidationError, match=f"^{field} must be an integer, got 2.5$"):

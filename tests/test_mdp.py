@@ -81,7 +81,7 @@ class TestOptimalActionAndValue:
     def test_terminal_value_is_zero(self):
         b = BetaBernoulli(3, 2)
         t = solve_q(problem(4, b))
-        for term in t.reachable_beliefs(4):
+        for term in t.lattice.beliefs(4):
             assert t.value(4, term) == 0.0
 
     def test_fair_static_value_stays_zero(self):
@@ -208,15 +208,6 @@ class TestInvariants:
         values = [solve_q(problem(1, Static(q))).q(0, Static(q), LONG) for q in qs]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_discount_scales_step_rewards(self):
-        b = Static(0.6)
-        t = solve_q(problem(1, b, per_step_discount=0.9))
-        # only one step at t=0, so discount**0 leaves it unchanged
-        assert t.q(0, b, LONG) == pytest.approx(2.0)
-        t2 = solve_q(problem(2, b, per_step_discount=0.5))
-        # 2 + 0.5 * 2 for static long-long
-        assert t2.q(0, b, LONG) == pytest.approx(3.0)
-
 
 def scalar_solve_q(problem):
     """The scalar dict-loop form of the recursion, the oracle of the array
@@ -234,7 +225,6 @@ def scalar_solve_q(problem):
     entries = {}
     values = {(T, b): 0.0 for b in layers[T]}
     for t in range(T - 1, -1, -1):
-        disc = problem.per_step_discount**t
         for b in layers[t]:
             q_up = b.predictive()
             v_up = values[(t + 1, b.update(Move.UP))]
@@ -242,8 +232,8 @@ def scalar_solve_q(problem):
             best = None
             for a in problem.action_set:
                 sign = a.direction.sign
-                r_up = disc * sign * a.size * u
-                r_dn = disc * sign * a.size * d
+                r_up = sign * a.size * u
+                r_dn = sign * a.size * d
                 q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
                 entries[(t, b, a)] = q
                 if best is None or q > best:
@@ -273,7 +263,7 @@ def assert_bit_identical(prob):
         assert repr(table.q(t, b, a)) == repr(q)
         assert repr(table.entries[(t, b, a)]) == repr(q)
     for t in range(prob.horizon):
-        for b in table.reachable_beliefs(t):
+        for b in table.lattice.beliefs(t):
             assert table.optimal_action(t, b) == scalar_optimal_action(prob, entries, t, b)
 
 
@@ -303,19 +293,15 @@ class TestBitIdentityWithScalarSolver:
     @given(
         belief=any_belief,
         T=st.integers(0, 12),
-        discount=st.floats(0.0, 1.0, exclude_min=True),
         actions=st.lists(st.sampled_from(ACTION_POOL), min_size=1, unique=True),
         ticks=st.tuples(st.floats(0.1, 100.0), st.floats(-100.0, -0.1)),
     )
-    @example(Static(0.5), 3, 1.0, [SHORT, NEUTRAL, LONG], TICKS)  # ties, signed zeros
-    @example(Static(0.5), 3, 1.0, [LONG, SHORT], TICKS)
-    @example(Mirror(0.5, Move.DOWN), 4, 0.5, [NEUTRAL, SHORT, LONG], TICKS)
+    @example(Static(0.5), 3, [SHORT, NEUTRAL, LONG], TICKS)  # ties, signed zeros
+    @example(Static(0.5), 3, [LONG, SHORT], TICKS)
+    @example(Mirror(0.5, Move.DOWN), 4, [NEUTRAL, SHORT, LONG], TICKS)
     @settings(max_examples=150, deadline=None)
-    def test_hypothesis_sweep(self, belief, T, discount, actions, ticks):
-        prob = problem(
-            T, belief, ticks=ticks, action_set=tuple(actions), per_step_discount=discount
-        )
-        assert_bit_identical(prob)
+    def test_hypothesis_sweep(self, belief, T, actions, ticks):
+        assert_bit_identical(problem(T, belief, ticks=ticks, action_set=tuple(actions)))
 
 
 class TestTableLayout:
@@ -326,7 +312,7 @@ class TestTableLayout:
         for t in range(5):
             # closure order: from each belief, its up child before its down child
             layer = [BetaBernoulli(3 + t - k, 2 + k) for k in range(t + 1)]
-            assert table.reachable_beliefs(t) == layer
+            assert table.lattice.beliefs(t) == layer
             assert [table.lattice.row(t, belief) for belief in layer] == list(range(t + 1))
             assert table.vs[t].shape == (len(layer),)
             if t < 4:
@@ -369,5 +355,5 @@ class TestTableLayout:
             table.optimal_action(-1, b)
         with pytest.raises(UnreachableStateError):
             table.q(0, b, Action(Direction.SHORT, 2))
-        assert table.reachable_beliefs(-1) == []
-        assert table.reachable_beliefs(3) == []
+        assert table.lattice.beliefs(-1) == []
+        assert table.lattice.beliefs(3) == []

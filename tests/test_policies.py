@@ -93,7 +93,7 @@ class TestBellmanOptimal:
     def test_solves_table_when_not_supplied(self):
         prob = problem(horizon=2, belief=Mirror(0.6, Move.UP))
         pol = make_policy("bellman", prob)
-        assert pol.table.problem == prob
+        assert pol.problem == prob
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
