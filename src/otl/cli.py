@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import astuple, fields
-from typing import IO, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import verify as verify_mod
 from .config import dump_config, load_config
@@ -65,48 +65,61 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(run=_cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run the mechanical checkers")
-    p_ver.add_argument(
-        "--suite",
-        default="all",
-        choices=["all"] + sorted(verify_mod.SUITES),
-    )
+    p_ver.add_argument("--suite", default="all", choices=["all", *sorted(verify_mod.SUITES)])
     p_ver.add_argument("--json", dest="json_out", help="write the report as JSON")
     p_ver.set_defaults(run=_cmd_verify)
     return parser
 
 
+class _Output:
+    """An output file; a failed open, write or close is a ConfigurationError naming it."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = self._call(open, path, "w", newline="")
+
+    def _call(self, fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {self.path}: {exc}") from exc
+
+    def write(self, text: str) -> int:
+        return self._call(self._fh.write, text)
+
+    def close(self) -> None:
+        self._call(self._fh.close)
+
+
 @contextlib.contextmanager
-def _outputs(*paths: Optional[str]) -> Iterator[list[Optional[IO[str]]]]:
-    """Open every given output path for writing, before any work is done,
-    so an unwritable one fails at once; yields one handle per path (None
-    for None). If the command then fails, the regular files among them are
-    removed, so a failed run leaves no output file."""
+def _outputs(*paths: Optional[str]) -> Iterator[list[Optional[_Output]]]:
+    """Open each output path (None: no output) before any work, so an unwritable one
+    fails at once, and yield their handles; if the command or an output then fails,
+    remove the regular files among them, so a failed run leaves no output file."""
     named = [p for p in paths if p is not None]
     if len(set(map(os.path.realpath, named))) < len(named):
         raise ConfigurationError(f"output paths must differ, got {named}")
-    handles: list[Optional[IO[str]]] = []
-    done = False
+    handles: list[Optional[_Output]] = []
     try:
         for path in paths:
-            try:
-                handles.append(None if path is None else open(path, "w", newline=""))
-            except OSError as exc:
-                raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+            handles.append(None if path is None else _Output(path))
         yield handles
-        done = True
-    finally:
-        for path, fh in zip(paths, handles):
-            if fh is not None:
+        for fh in filter(None, handles):
+            fh.close()
+    except BaseException:
+        for fh in filter(None, handles):
+            with contextlib.suppress(ConfigurationError):
                 fh.close()
-                if not done and os.path.isfile(path):
-                    os.remove(path)
+            if os.path.isfile(fh.path):
+                os.remove(fh.path)
+        raise
 
 
 def _csv_line(cells: Sequence[str]) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
+def _write_paths_csv(result: SimResult, fh: _Output) -> None:
     fh.write(_csv_line(PATH_CSV_COLUMNS))
     for path_id, wp in enumerate(result.paths):
         fh.write(
@@ -118,7 +131,7 @@ def _write_paths_csv(result: SimResult, fh: IO[str]) -> None:
         )
 
 
-def _write_stats_csv(results: list[SimResult], fh: IO[str]) -> None:
+def _write_stats_csv(results: list[SimResult], fh: _Output) -> None:
     fh.write(_csv_line(STATS_CSV_COLUMNS))
     for result in results:
         fh.write(_csv_line([result.policy_name, *map(_num, astuple(result.stats))]))
@@ -143,7 +156,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _export_qtable(table, out: Optional[IO[str]]) -> None:
+def _export_qtable(table, out: Optional[_Output]) -> None:
     """Print the Q-table and, given a file, write it as CSV too, in one pass
     over the lattice layers: per t, beliefs in belief_id order, one line per
     action, then the stage's argmax line."""
@@ -198,7 +211,7 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
     sim_cfg = cfg.sim_config()
     with _outputs(paths, stats) as (paths_out, stats_out):
         policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]
-        table = compare(policies, cfg.market(), sim_cfg)
+        table = compare(policies, cfg.market(), sim_cfg, keep_paths=paths is not None)
         if paths_out:
             _write_paths_csv(table.results[0], paths_out)
         if stats_out:
@@ -215,10 +228,7 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
 
 def _cmd_verify(args) -> int:
     with _outputs(args.json_out) as (json_out,):
-        if args.suite == "all":
-            reports = verify_mod.run_all()
-        else:
-            reports = [verify_mod.SUITES[args.suite]()]
+        reports = verify_mod.run_all() if args.suite == "all" else [verify_mod.SUITES[args.suite]()]
         for rep in reports:
             print(rep.render())
         overall = all(rep.overall for rep in reports)

@@ -1,8 +1,8 @@
 """Deterministic Monte Carlo engine.
 
-Path i of a run, `SimResult.paths[i]`, is driven by a seed derived from
-(master_seed, i), so results are a pure function of the configuration and
-independent of execution order; its step at time t is `steps[t]`.
+Path i of a run is driven by a seed derived from (master_seed, i), so results
+are a pure function of the configuration and independent of execution order. A
+run keeps path i, as `SimResult.paths[i]` with step t in `steps[t]`, if asked to.
 Policies are compared on common random numbers: every policy sees the same
 move sequences.
 
@@ -15,6 +15,7 @@ of a belief-lattice layer), so no `Belief` is built while simulating.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -28,10 +29,9 @@ from .mdp import DecisionProblem
 from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
-# bound on n_paths x horizon: every step of every path is kept as a
-# StepRecord, ~133 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
-# ~0.67 GB per policy at the bound; compare keeps one set per policy, and
-# the CLI names each of the 4 policy kinds at most once
+# bound on n_paths x horizon: a run that keeps its paths holds a StepRecord
+# per step, ~133 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
+# ~0.67 GB at the bound; one that does not holds a few bytes per path
 MAX_PATH_STEPS = 5_000_000
 
 
@@ -54,7 +54,7 @@ class SimConfig:
         if self.n_paths * self.problem.horizon > MAX_PATH_STEPS:
             raise ResourceLimitError(
                 f"n_paths x horizon = {shown(self.n_paths)} x {shown(self.problem.horizon)}"
-                f" exceeds bound {MAX_PATH_STEPS} retained step records"
+                f" exceeds bound {MAX_PATH_STEPS} path steps"
             )
 
 
@@ -142,21 +142,16 @@ def _check_finite(record: Stats | PairwiseDiff, owner: str, model: MarketModel) 
         )
 
 
-def summarize(paths: Sequence[WealthPath]) -> Stats:
-    if not paths:
+def summarize(terminals: np.ndarray, drawdowns: np.ndarray, ruined: np.ndarray) -> Stats:
+    """Stats of paths given as arrays of terminal wealth, max drawdown and ruin."""
+    if not len(terminals):
         raise ValidationError("cannot summarize an empty path list")
-    terminals = np.array([p.terminal_wealth for p in paths])
-    q05, q25, q50, q75, q95 = np.percentile(terminals, [5, 25, 50, 75, 95])
     return Stats(
-        mean_terminal=float(terminals.mean()),
-        std_terminal=float(terminals.std()),
-        q05=float(q05),
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-        q95=float(q95),
-        mean_max_drawdown=float(np.mean([p.max_drawdown() for p in paths])),
-        ruin_fraction=float(np.mean([p.ruined() for p in paths])),
+        float(terminals.mean()),
+        float(terminals.std()),
+        *map(float, np.percentile(terminals, [5, 25, 50, 75, 95])),  # q05 .. q95
+        float(np.mean(drawdowns)),
+        float(np.mean(ruined)),
     )
 
 
@@ -191,11 +186,12 @@ def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthP
     return WealthPath(initial_wealth=model.initial_wealth, steps=steps)
 
 
-def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
+def run(policy: Policy, model: MarketModel, cfg: SimConfig, keep_paths: bool = False) -> SimResult:
     """Run one policy over cfg.n_paths seeded paths of a market with the
     problem's ticks. A policy that reads the belief must have been built
-    for cfg.problem, since its lattice rows mean nothing for another."""
-    problem, seed = cfg.problem, cfg.master_seed
+    for cfg.problem, since its lattice rows mean nothing for another. Its
+    `paths` are kept only with keep_paths, so by default it holds O(n_paths)."""
+    problem, seed, n = cfg.problem, cfg.master_seed, cfg.n_paths
     if model.ticks != problem.ticks:
         raise ValidationError(f"market ticks {model.ticks} != problem ticks {problem.ticks}")
     if policy.problem is not None and policy.problem != problem:
@@ -207,54 +203,48 @@ def run(policy: Policy, model: MarketModel, cfg: SimConfig) -> SimResult:
         raise ValidationError(
             f"policy {policy.name} was built for another problem: {'; '.join(differ)}"
         )
-    paths = []
-    # Every object a path makes is a StepRecord, a WealthPath or a list of
-    # records, and none refers back to another, so reference counting frees
-    # them all. Left on, the cyclic collector would only rescan the growing
-    # set of retained records, again and again; its previous state comes
-    # back even when a path raises.
+    paths: list[WealthPath] = []
+    terminals, drawdowns, ruined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    # No object a path makes (records, their list, the path) refers back to
+    # another, so reference counting frees them all; left on, the cyclic
+    # collector would only rescan the kept paths' records again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for i in range(cfg.n_paths):
+        for i in range(n):
             moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
-            paths.append(replay(policy, model, moves))
+            path = replay(policy, model, moves)
+            terminals[i] = path.terminal_wealth
+            drawdowns[i] = path.max_drawdown()
+            ruined[i] = path.ruined()
+            if keep_paths:
+                paths.append(path)
     finally:
         if collecting:
             gc.enable()
-    terminals = np.array([p.terminal_wealth for p in paths])
     # overflow is caught by _check_finite and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = summarize(paths)
+        stats = summarize(terminals, drawdowns, ruined)
     _check_finite(stats, f"policy {policy.name}", model)
-    return SimResult(
-        policy_name=policy.name,
-        paths=paths,
-        stats=stats,
-        terminals=terminals,
-    )
+    return SimResult(policy_name=policy.name, paths=paths, stats=stats, terminals=terminals)
 
 
-def compare(policies: Sequence[Policy], model: MarketModel, cfg: SimConfig) -> ComparisonTable:
+def compare(
+    policies: Sequence[Policy], model: MarketModel, cfg: SimConfig, keep_paths: bool = False
+) -> ComparisonTable:
     """Evaluate every policy on the same seeded paths (common random numbers)
-    and report pairwise mean-difference 99% confidence intervals."""
+    and report pairwise mean-difference 99% confidence intervals; `run`
+    says what keep_paths keeps."""
     if not policies:
         raise ValidationError("need at least one policy to compare")
-    results = [run(p, model, cfg) for p in policies]
+    results = [run(p, model, cfg, keep_paths) for p in policies]
     pairwise: list[PairwiseDiff] = []
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                diffs = results[i].terminals - results[j].terminals
-                mean = float(diffs.mean())
-                se = float(diffs.std(ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
-            diff = PairwiseDiff(
-                policy_a=results[i].policy_name,
-                policy_b=results[j].policy_name,
-                mean_diff=mean,
-                ci_low=mean - Z_99 * se,
-                ci_high=mean + Z_99 * se,
-            )
-            _check_finite(diff, f"policies {diff.policy_a} - {diff.policy_b}", model)
-            pairwise.append(diff)
+    for a, b in itertools.combinations(results, 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = a.terminals - b.terminals
+            mean = float(diffs.mean())
+            se = float(diffs.std(ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
+        diff = PairwiseDiff(a.policy_name, b.policy_name, mean, mean - Z_99 * se, mean + Z_99 * se)
+        _check_finite(diff, f"policies {diff.policy_a} - {diff.policy_b}", model)
+        pairwise.append(diff)
     return ComparisonTable(pairwise=pairwise, results=results)

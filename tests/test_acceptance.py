@@ -164,6 +164,7 @@ def test_criterion_7_policy_equivalence_on_sampled_paths():
         [make_policy("bellman", prob), make_policy("cutloss", prob)],
         model,
         cfg,
+        keep_paths=True,
     )
     bellman_res, cutloss_res = table.results
     identical = all(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otl import verify as verify_mod
+from otl import cli, verify as verify_mod
 from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
@@ -403,6 +404,54 @@ class TestUnwritableOutputs:
         assert main(argv) == EXIT_CONFIG
         assert "unit neutral action" in capsys.readouterr().err
         assert not out.exists() and not stats.exists()
+
+    @pytest.mark.parametrize("fails_in", ["write", "close"])
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["simulate", "--config", "{config}", "--policy", "cutloss",
+              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "paths.csv"),
+            (["simulate", "--config", "{config}", "--policy", "cutloss",
+              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "stats.csv"),
+            (["compare", "--config", "{config}", "--policies", "cutloss,buyhold",
+              "--out", "{stats.csv}"], "stats.csv"),
+            (["solve", "--config", "{config}", "--out", "{q.csv}"], "q.csv"),
+            (["verify", "--suite", "price", "--json", "{report.json}"], "report.json"),
+        ],
+        ids=["simulate-paths", "simulate-stats", "compare", "solve", "verify"],
+    )
+    def test_failed_write_or_close_exits_2(
+        self, config_file, tmp_path, capsys, monkeypatch, argv, target, fails_in
+    ):
+        # a full disk (/dev/full) fails a write, or the flush in close
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                if fails_in == "write":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self._fh.write(text)
+
+            def close(self):
+                self._fh.close()
+                if fails_in == "close":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        def opener(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return FullDisk(fh) if os.path.basename(path) == target else fh
+
+        monkeypatch.setattr(cli, "open", opener, raising=False)
+        outputs = [a[1:-1] for a in argv if a.startswith("{") and a != "{config}"]
+        argv = [a.replace("{config}", config_file) for a in argv]
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / target}: " in err
+        assert "No space left on device" in err
+        for name in outputs:
+            assert not (tmp_path / name).exists()
 
     def test_same_path_twice_rejected(self, config_file, tmp_path, capsys):
         out = tmp_path / "both.csv"

@@ -1,7 +1,9 @@
 import gc
 import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from otl import (
@@ -29,6 +31,7 @@ from otl import (
 from otl import sim
 from otl.beliefs import _BetaCounts, _Layers
 from otl.errors import ResourceLimitError
+from otl.policies import POLICY_KINDS
 from otl.sim import MAX_PATH_STEPS, SimConfig, StepRecord, WealthPath, replay
 
 TICKS = (10.0, -10.0)
@@ -47,9 +50,12 @@ def cfg(n_paths, horizon, seed=101, belief=Static(0.6)):
 
 
 class TestSummarize:
+    """summarize takes each path's terminal wealth, max drawdown and ruined
+    flag, as `run` reads them from `WealthPath`."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            summarize([])
+            summarize(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
     def _path(self, wealths, initial=1000.0):
         steps = [
@@ -57,22 +63,35 @@ class TestSummarize:
         ]
         return WealthPath(initial_wealth=initial, steps=steps)
 
+    def _summarize(self, paths):
+        return summarize(
+            np.array([p.terminal_wealth for p in paths]),
+            np.array([p.max_drawdown() for p in paths]),
+            np.array([p.ruined() for p in paths]),
+        )
+
     def test_constant_path(self):
-        stats = summarize([self._path([1000.0, 1000.0])])
+        path = self._path([1000.0, 1000.0])
+        assert path.max_drawdown() == 0.0
+        stats = self._summarize([path])
         assert stats.std_terminal == 0.0
         assert stats.mean_max_drawdown == 0.0
 
     def test_drawdown_peak_to_trough(self):
-        stats = summarize([self._path([1000.0, 990.0, 1010.0])])
+        path = self._path([1000.0, 990.0, 1010.0])
+        assert path.max_drawdown() == 10.0
+        stats = self._summarize([path])
         assert stats.mean_max_drawdown == 10.0
 
     def test_two_terminals(self):
-        stats = summarize([self._path([980.0]), self._path([1020.0])])
+        stats = self._summarize([self._path([980.0]), self._path([1020.0])])
         assert stats.mean_terminal == 1000.0
         assert stats.q50 == 1000.0
 
     def test_quantiles_nondecreasing_and_ruin(self):
-        stats = summarize([self._path([w]) for w in (-5.0, 10.0, 30.0, 500.0, 900.0)])
+        paths = [self._path([w]) for w in (-5.0, 10.0, 30.0, 500.0, 900.0)]
+        assert [p.ruined() for p in paths] == [True, False, False, False, False]
+        stats = self._summarize(paths)
         q = stats.quantiles()
         assert list(q) == sorted(q)
         assert stats.ruin_fraction == pytest.approx(0.2)
@@ -81,14 +100,14 @@ class TestSummarize:
 class TestRun:
     def test_determinism(self):
         pol = make_policy("cutloss", problem(8))
-        a = run(pol, market(0.45), cfg(300, 8))
-        b = run(pol, market(0.45), cfg(300, 8))
+        a = run(pol, market(0.45), cfg(300, 8), keep_paths=True)
+        b = run(pol, market(0.45), cfg(300, 8), keep_paths=True)
         assert a.stats == b.stats
         assert [p.steps for p in a.paths] == [p.steps for p in b.paths]
 
     def test_accounting_identity(self):
         pol = make_policy("avgdown", problem(12))
-        res = run(pol, market(0.48), cfg(200, 12))
+        res = run(pol, market(0.48), cfg(200, 12), keep_paths=True)
         for path in res.paths:
             total = sum(s.reward for s in path.steps)
             assert path.terminal_wealth == path.initial_wealth + total
@@ -275,6 +294,7 @@ class TestCompare:
             [make_policy("cutloss", prob), make_policy("buyhold", prob)],
             market(0.5),
             cfg(50, 5),
+            keep_paths=True,
         )
         a, b = table.results
         for pa, pb in zip(a.paths, b.paths):
@@ -291,6 +311,30 @@ class TestCompare:
         assert diff.policy_a == "cutloss" and diff.policy_b == "avgdown"
         assert diff.mean_diff > 0
         assert diff.ci_low > 0
+
+    def test_kept_paths_change_no_result(self):
+        prob = problem(9)
+        policies = [make_policy(kind, prob) for kind in POLICY_KINDS]
+        kept = compare(policies, market(0.45), cfg(400, 9), keep_paths=True)
+        table = compare(policies, market(0.45), cfg(400, 9))
+        assert table.pairwise == kept.pairwise
+        for res, ref in zip(table.results, kept.results):
+            assert res.stats == ref.stats
+            assert res.terminals.tolist() == ref.terminals.tolist()
+            assert res.paths == [] and len(ref.paths) == 400
+
+    def test_unkept_paths_hold_no_step_records(self):
+        # each policy's 40,000 step records would take ~5 MB (~133 B each)
+        prob = problem(20)
+        policies = [make_policy("cutloss", prob), make_policy("avgdown", prob)]
+        compare(policies, market(0.45), cfg(3, 20))  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            compare(policies, market(0.45), cfg(2_000, 20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_empty_policy_list_rejected(self):
         with pytest.raises(ValidationError):
