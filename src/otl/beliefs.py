@@ -166,72 +166,70 @@ def _check_states(n: int, T: int, max_states: int) -> None:
 
 class Lattice:
     """The beliefs reachable at t = 0..T from one initial belief, one layer
-    per t. A layer lists its beliefs in forward-closure order: from each
-    row in turn, its up child and then its down child take the next free
-    row of layer t + 1 the first time they are reached. Subclasses give:
+    per t, and the one numbering of their stage states: row r of layer t is
+    state ``start[t] + r``, and there are ``start[T + 1]`` states in all. A
+    layer lists its beliefs in forward-closure order: from each row in turn,
+    its up child and then its down child take the next free row of layer
+    t + 1 the first time they are reached. Subclasses give:
 
-    * ``predictive(t)``: float64 ``(sizes[t],)``, each row's up-probability;
-    * ``up(t)``, ``down(t)``: intp ``(sizes[t],)``, the row of each row's up
-      and down child in layer t + 1 (t < T);
-    * ``row(t, belief)``: the belief's row, or None if it is not in layer t
-      (another kind, counts never reached, or t outside 0..T);
-    * ``beliefs(t)``: the beliefs in row order, [] for t outside 0..T.
+    * ``predictive(t)``: float64, each row's up-probability;
+    * ``up(t)``, ``down(t)``: intp, the state of each row's up and down child (t < T);
+    * ``state(t, belief)``: the belief's state, or None if it is not in
+      layer t (another kind, counts never reached, or t outside 0..T);
+    * ``beliefs(t)``, ``ids(t)``: the beliefs in row order and their
+      `belief_id`s, [] for t outside 0..T.
 
-    ``sizes[t]`` is the number of rows of layer t, and ``ids(t)`` the
-    `belief_id` of each row ([] for t outside 0..T). A lattice of more than
-    `max_states` rows in all raises `ResourceLimitError` before it is built.
+    A lattice of more than `max_states` states raises `ResourceLimitError` before it is built.
     """
 
-    def __init__(self, T: int, sizes: Sequence[int]):
+    def __init__(self, T: int, start: Sequence[int]):
         self.T = T
-        self.sizes = sizes
+        self.start = start
 
     def ids(self, t: int) -> list[str]:
         return list(map(belief_id, self.beliefs(t)))
 
 
 class _Layers(Lattice):
-    """One `{belief: row}` dict per layer, and the up and down child rows of
-    every layer t < T in two flat arrays, layer after layer."""
+    """One `{belief: state}` dict per layer, and the up and down child
+    states of every state of a layer t < T in two flat arrays."""
 
-    def __init__(self, rows: list[dict], up: np.ndarray, down: np.ndarray):
-        self._rows, self._up, self._down = rows, up, down
-        sizes = [len(r) for r in rows]
-        self._start = np.array([0, *itertools.accumulate(sizes)])
-        super().__init__(len(rows) - 1, sizes)
+    def __init__(self, states: list[dict], up: np.ndarray, down: np.ndarray):
+        self._states, self._up, self._down = states, up, down
+        super().__init__(len(states) - 1, [*itertools.accumulate(map(len, states), initial=0)])
 
     def predictive(self, t: int) -> np.ndarray:
-        return np.array([b.predictive() for b in self._rows[t]])
+        return np.array([b.predictive() for b in self._states[t]])
 
     def up(self, t: int) -> np.ndarray:
-        return self._up[self._start[t] : self._start[t + 1]]
+        return self._up[self.start[t] : self.start[t + 1]]
 
     def down(self, t: int) -> np.ndarray:
-        return self._down[self._start[t] : self._start[t + 1]]
+        return self._down[self.start[t] : self.start[t + 1]]
 
-    def row(self, t: int, belief: Belief) -> int | None:
-        return self._rows[t].get(belief) if 0 <= t <= self.T else None
+    def state(self, t: int, belief: Belief) -> int | None:
+        return self._states[t].get(belief) if 0 <= t <= self.T else None
 
     def beliefs(self, t: int) -> list[Belief]:
-        return list(self._rows[t]) if 0 <= t <= self.T else []
+        return list(self._states[t]) if 0 <= t <= self.T else []
 
 
 def _closure(b0: Belief, T: int, max_states: int) -> Lattice:
     """The forward closure of b0 over `Belief.update`."""
     _check_states(T + 1, T, max_states)  # every layer has at least one row
-    rows: list[dict[Belief, int]] = [{b0: 0}]
+    states: list[dict[Belief, int]] = [{b0: 0}]
     ups: list[int] = []
     dns: list[int] = []
     n_states = 1
     for _ in range(T):
         nxt: dict[Belief, int] = {}
-        for b in rows[-1]:
-            ups.append(nxt.setdefault(b.update(Move.UP), len(nxt)))
-            dns.append(nxt.setdefault(b.update(Move.DOWN), len(nxt)))
-        rows.append(nxt)
+        for b in states[-1]:
+            ups.append(nxt.setdefault(b.update(Move.UP), n_states + len(nxt)))
+            dns.append(nxt.setdefault(b.update(Move.DOWN), n_states + len(nxt)))
+        states.append(nxt)
         n_states += len(nxt)
         _check_states(n_states, T, max_states)
-    return _Layers(rows, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
+    return _Layers(states, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
 
 
 class _BetaCounts(Lattice):
@@ -244,8 +242,7 @@ class _BetaCounts(Lattice):
         self._alphas, self._betas = counts
         self._alpha_at = {a: j for j, a in enumerate(self._alphas.tolist())}
         self._beta_at = {b: k for k, b in enumerate(self._betas.tolist())}
-        self._rows = np.arange(T + 2, dtype=np.intp)
-        super().__init__(T, range(1, T + 2))
+        super().__init__(T, [t * (t + 1) // 2 for t in range(T + 2)])
 
     def predictive(self, t: int) -> np.ndarray:
         a = self._alphas[t::-1]
@@ -253,17 +250,17 @@ class _BetaCounts(Lattice):
         return a / (a + b)
 
     def up(self, t: int) -> np.ndarray:
-        return self._rows[: t + 1]
+        return np.arange(self.start[t + 1], self.start[t + 2] - 1, dtype=np.intp)
 
     def down(self, t: int) -> np.ndarray:
-        return self._rows[1 : t + 2]
+        return np.arange(self.start[t + 1] + 1, self.start[t + 2], dtype=np.intp)
 
-    def row(self, t: int, belief: Belief) -> int | None:
+    def state(self, t: int, belief: Belief) -> int | None:
         if type(belief) is not BetaBernoulli or not 0 <= t <= self.T:
             return None
         j = self._alpha_at.get(belief.alpha)
         k = self._beta_at.get(belief.beta)
-        return k if j is not None and k is not None and j + k == t else None
+        return self.start[t] + k if j is not None and k is not None and j + k == t else None
 
     def _counts(self, t: int) -> tuple[list[float], list[float]]:
         """The alpha and beta counts of layer t's rows (none outside 0..T)."""

@@ -137,19 +137,34 @@ def _write_stats_csv(results: list[SimResult], fh: _Output) -> None:
         fh.write(_csv_line([result.policy_name, *map(_num, astuple(result.stats))]))
 
 
-def _print_stats(name: str, stats) -> None:
-    print(f"policy {name}:")
-    print(f"  mean terminal   {stats.mean_terminal:.6f}")
-    print(f"  std terminal    {stats.std_terminal:.6f}")
-    print("  quantiles 5/25/50/75/95  " + " ".join(f"{q:.4f}" for q in stats.quantiles()))
-    print(f"  mean max drawdown  {stats.mean_max_drawdown:.6f}")
-    print(f"  ruin fraction      {stats.ruin_fraction:.6f}")
+def _echo(text: str) -> None:
+    """Write and flush text to standard output. A failed write is a ConfigurationError,
+    and stdout then goes to os.devnull, so Python's own flush at exit cannot fail too."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigurationError(f"cannot write standard output: {exc}") from exc
+
+
+def _stats_text(name: str, stats: Stats) -> str:
+    return (
+        f"policy {name}:\n"
+        f"  mean terminal   {stats.mean_terminal:.6f}\n"
+        f"  std terminal    {stats.std_terminal:.6f}\n"
+        f"  quantiles 5/25/50/75/95  {' '.join(f'{q:.4f}' for q in stats.quantiles())}\n"
+        f"  mean max drawdown  {stats.mean_max_drawdown:.6f}\n"
+        f"  ruin fraction      {stats.ruin_fraction:.6f}\n"
+    )
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if args.dump_config:
-        sys.stdout.write(dump_config(cfg))
+        _echo(dump_config(cfg))
         return EXIT_OK
     with _outputs(args.out) as (out,):
         _export_qtable(solve_q(cfg.problem()), out)
@@ -164,11 +179,13 @@ def _export_qtable(table, out: Optional[_Output]) -> None:
     n = len(names)
     if out is not None:
         out.write(_csv_line(QTABLE_CSV_COLUMNS))
+    start = table.lattice.start
     for t in range(table.problem.horizon):
         ids = table.lattice.ids(t)
+        layer = slice(start[t], start[t + 1])
         # the repr of a list of floats is the repr of each one
-        qs = repr(table.qs[t].ravel().tolist())[1:-1].split(", ")
-        best = table.best[t].tolist()
+        qs = repr(table.qs[layer].ravel().tolist())[1:-1].split(", ")
+        best = table.best[layer].tolist()
         lines, csv_lines = [], []
         for i in sorted(range(len(ids)), key=ids.__getitem__):
             prefix = f"t={t}, belief={ids[i]}"
@@ -178,7 +195,7 @@ def _export_qtable(table, out: Optional[_Output]) -> None:
                 lines.append(f"{prefix}, {name}, {q}\n")
                 csv_lines.append(f"{t},{cell},{name},{q},{int(j == best[i])}\r\n")
             lines.append(f"{prefix} -> {names[best[i]]}\n")
-        sys.stdout.write("".join(lines))
+        _echo("".join(lines))
         if out is not None:
             out.write("".join(csv_lines))
 
@@ -216,12 +233,14 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
             _write_paths_csv(table.results[0], paths_out)
         if stats_out:
             _write_stats_csv(table.results, stats_out)
-    for result in table.results:
-        _print_stats(result.policy_name, result.stats)
-    for pw in table.pairwise:
-        print(
-            f"mean diff {pw.policy_a} - {pw.policy_b}: {pw.mean_diff:.6f}"
-            f"  99% CI [{pw.ci_low:.6f}, {pw.ci_high:.6f}]"
+        # printed before the outputs close, so a failed print removes them
+        _echo(
+            "".join(_stats_text(r.policy_name, r.stats) for r in table.results)
+            + "".join(
+                f"mean diff {pw.policy_a} - {pw.policy_b}: {pw.mean_diff:.6f}"
+                f"  99% CI [{pw.ci_low:.6f}, {pw.ci_high:.6f}]\n"
+                for pw in table.pairwise
+            )
         )
     return EXIT_OK
 
@@ -229,14 +248,13 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
 def _cmd_verify(args) -> int:
     with _outputs(args.json_out) as (json_out,):
         reports = verify_mod.run_all() if args.suite == "all" else [verify_mod.SUITES[args.suite]()]
-        for rep in reports:
-            print(rep.render())
         overall = all(rep.overall for rep in reports)
         if json_out:
             doc = {"reports": [rep.to_dict() for rep in reports], "overall": overall}
             json.dump(doc, json_out, indent=2)
             json_out.write("\n")
-    print(f"verify: {'PASS' if overall else 'FAIL'}")
+        verdict = "PASS" if overall else "FAIL"
+        _echo("".join(f"{rep.render()}\n" for rep in reports) + f"verify: {verdict}\n")
     return EXIT_OK if overall else EXIT_VERIFY_FAIL
 
 

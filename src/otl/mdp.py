@@ -80,30 +80,27 @@ class _TableView(Mapping):
 
 @dataclass(eq=False)
 class QTable:
-    """Solved subjective Q-values over every reachable stage state, stored
-    per decision time t (one lattice layer per t, T = problem.horizon):
+    """Solved subjective Q-values over every reachable stage state, row s
+    holding the lattice's state s (`beliefs.Lattice`), T = problem.horizon:
 
-    * ``lattice``: the reachable beliefs (`beliefs.Lattice`); row i of
-      layer t is the i-th of ``lattice.beliefs(t)``;
-    * ``qs[t]``: float64 ``(n_t, |A|)`` Q-values, columns in action_set
-      order (t < T);
-    * ``vs[t]``: float64 ``(n_t,)`` values, all zero at t = T;
-    * ``best[t]``: the argmax column of each row, the first maximum (t < T).
+    * ``qs``: float64 ``(start[T], |A|)``, the Q-values of each state of a
+      layer t < T, columns in action_set order;
+    * ``best``: intp ``(start[T],)``, each such state's argmax column, the
+      first maximum.
 
-    Immutable once built (the arrays are read-only); safe to query
+    A state's value is Q at its argmax, V(s_t) = Q_{t+1}(s_t, a*(s_t)), and 0
+    at t = T. Immutable once built (the arrays are read-only); safe to query
     concurrently.
     """
 
     problem: DecisionProblem
     lattice: Lattice = field(repr=False)
-    qs: list[np.ndarray] = field(repr=False)
-    vs: list[np.ndarray] = field(repr=False)
-    best: list[np.ndarray] = field(repr=False)
+    qs: np.ndarray = field(repr=False)
+    best: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self._columns = {a: j for j, a in enumerate(self.problem.action_set)}
-        for arr in (*self.qs, *self.vs, *self.best):
-            arr.flags.writeable = False
+        self.qs.flags.writeable = self.best.flags.writeable = False
 
     @property
     def values(self) -> Mapping[tuple[int, Belief], float]:
@@ -112,7 +109,7 @@ class QTable:
         return _TableView(
             self.value,
             lambda: ((t, b) for t in range(lattice.T, -1, -1) for b in lattice.beliefs(t)),
-            sum(lattice.sizes),
+            lattice.start[-1],
         )
 
     @property
@@ -125,81 +122,75 @@ class QTable:
             lambda: (
                 (t, b, a) for t in range(T - 1, -1, -1) for b in lattice.beliefs(t) for a in actions
             ),
-            sum(lattice.sizes[:T]) * len(actions),
+            self.qs.size,
         )
 
-    def _row(self, t: int, belief: Belief, key: str = "") -> int:
-        """The belief's row in layer t; `key` extends the unreachable-state message."""
-        row = self.lattice.row(t, belief)
-        if row is None:
+    def _state(self, t: int, belief: Belief, key: str = "") -> int:
+        """The stage state of belief at t; `key` extends the unreachable-state message."""
+        state = self.lattice.state(t, belief)
+        if state is None:
             raise UnreachableStateError(
                 f"stage state (t={shown(t)}, belief={belief}{key}) not reached"
             )
-        return row
+        return state
 
     def q(self, t: int, belief: Belief, action: Action) -> float:
         col = self._columns.get(action)
-        if col is None or t >= len(self.qs):
+        if col is None or t >= self.problem.horizon:
             raise UnreachableStateError(
                 f"no Q entry for t={shown(t)}, belief={belief}, action={action}"
             )
-        row = self._row(t, belief, f", action={action}")
-        return float(self.qs[t][row, col])
+        return float(self.qs[self._state(t, belief, f", action={action}"), col])
 
     def value(self, t: int, belief: Belief) -> float:
-        row = self._row(t, belief)
-        return float(self.vs[t][row])
+        state = self._state(t, belief)
+        return float(self.qs[state, self.best[state]]) if t < self.problem.horizon else 0.0
 
     def optimal_action(self, t: int, belief: Belief) -> Action:
         """Argmax of Q at the stage state; ties go to the earliest action
         in the problem's action_set order."""
         if t >= self.problem.horizon:
             raise UnreachableStateError(f"t={shown(t)} is at or past the horizon")
-        row = self._row(t, belief)
-        return self.problem.action_set[self.best[t][row]]
+        return self.problem.action_set[self.best[self._state(t, belief)]]
 
 
-def solve_q(problem: DecisionProblem, max_states: int = MAX_STAGE_STATES) -> QTable:
+def solve_q(problem: DecisionProblem) -> QTable:
     """Solve the subjective Bellman recursion by backward induction.
 
     Reachable beliefs at each t form the lattice of the initial belief
-    (`Belief.lattice`); the belief transition is independent of the action
-    (the market is exogenous), so the continuation value after a move is
-    shared by every action. The lattice gives each state's up and down
-    child rows, and the backward pass is then one broadcast over
-    (states x actions) per layer, in the float expression order of the
-    scalar recursion, so every Q-value is bit-identical to it.
+    (`Belief.lattice`), of at most MAX_STAGE_STATES states; the belief
+    transition is independent of the action (the market is exogenous), so
+    the continuation value after a move is shared by every action. The
+    lattice gives each state's up and down child states, and the backward
+    pass is then one broadcast over (states x actions) per layer, in the
+    float expression order of the scalar recursion, so every Q-value is
+    bit-identical to it.
     """
     T = problem.horizon
-    lattice = problem.initial_belief.lattice(T, max_states)
+    lattice = problem.initial_belief.lattice(T, MAX_STAGE_STATES)
+    start = lattice.start
     u, d = problem.ticks
     actions = problem.action_set
     r_up = np.array([a.stake * u for a in actions])
     r_dn = np.array([a.stake * d for a in actions])
-    v = np.zeros(lattice.sizes[T])
-    qs: list[np.ndarray] = []
-    best: list[np.ndarray] = []
-    vs = [v]
+    qs = np.empty((start[T], len(actions)))
+    best = np.empty(start[T], dtype=np.intp)
+    v = np.zeros(start[T + 1])  # V of every state; the layer at T stays 0
     # overflow is caught below, as a non-finite Q, and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1, -1, -1):
+            layer = slice(start[t], start[t + 1])
             q_up = lattice.predictive(t)[:, None]
             v_up = v[lattice.up(t)][:, None]
             v_dn = v[lattice.down(t)][:, None]
-            q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
+            qs[layer] = q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
             if not np.isfinite(q).all():
                 raise ValidationError(
                     f"Q-values overflow at t={t}: ticks {problem.ticks} are too large"
                     f" for horizon {T}"
                 )
-            arg = q.argmax(axis=1)
+            best[layer] = arg = q.argmax(axis=1)
             # Q at the first maximum, not q.max(): the same tie-break as a
             # strict `>` scan, and it keeps the sign of a zero exactly
-            v = q[np.arange(len(arg)), arg]
-            qs.append(q)
-            best.append(arg)
-            vs.append(v)
-    qs.reverse()
-    best.reverse()
-    vs.reverse()
-    return QTable(problem=problem, lattice=lattice, qs=qs, vs=vs, best=best)
+            v[layer] = q[np.arange(len(arg)), arg]
+    return QTable(problem=problem, lattice=lattice, qs=qs, best=best)

@@ -4,7 +4,6 @@ behaviors it is compared against (cut losses, average down, buy and hold).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from .actions import LONG, NEUTRAL, Action, Direction
@@ -33,10 +32,9 @@ class Policy:
 
 
 class BellmanOptimal(Policy):
-    """Plays the argmax of the solved Q-table at (t, belief). A state is a
-    stage state, numbered layer after layer, so state `offset + row` holds
-    the belief of row `row` of lattice layer t, where `offset` is the
-    number of rows in layers before t; it plays `table.best[t][row]`."""
+    """Plays the argmax of the solved Q-table at (t, belief). Its states are
+    the lattice's stage states: state s plays `table.best[s]` and moves to
+    the state of the belief's up or down child."""
 
     name = "bellman"
 
@@ -44,13 +42,12 @@ class BellmanOptimal(Policy):
         self.problem = table.problem
         lattice, actions = table.lattice, table.problem.action_set
         # one int object per state, shared by every list that names it
-        states = list(range(sum(lattice.sizes)))
-        offsets = list(itertools.accumulate(lattice.sizes, initial=0))
+        states = list(range(lattice.start[-1]))
         self.up, self.down, self.act = [], [], []
-        for t, best in enumerate(table.best):
-            layer = states[offsets[t + 1] : offsets[t + 2]]
-            self.up += map(layer.__getitem__, lattice.up(t).tolist())
-            self.down += map(layer.__getitem__, lattice.down(t).tolist())
+        for t in range(lattice.T):
+            self.up += map(states.__getitem__, lattice.up(t).tolist())
+            self.down += map(states.__getitem__, lattice.down(t).tolist())
+            best = table.best[lattice.start[t] : lattice.start[t + 1]]
             self.act += map(actions.__getitem__, best.tolist())
 
 
@@ -84,25 +81,21 @@ class BuyHold(Policy):
     act = (LONG,)
 
 
-# heuristic kind -> (policy class, the unit actions it plays)
-_HEURISTICS = {
-    "cutloss": (CutLoss, (LONG, NEUTRAL)),
-    "avgdown": (AverageDown, (LONG,)),
-    "buyhold": (BuyHold, (LONG,)),
-}
+_HEURISTICS = {cls.name: cls for cls in (CutLoss, AverageDown, BuyHold)}
 POLICY_KINDS = ("bellman", *_HEURISTICS)
 
 
 def make_policy(kind: str, problem: DecisionProblem) -> Policy:
-    """Bind the policy `kind` (one of POLICY_KINDS) to a problem, validating
-    the actions it needs; bellman solves the problem's Q-table."""
+    """Bind the policy `kind` (one of POLICY_KINDS) to a problem; a heuristic
+    needs each unit action it plays in the action set. Bellman solves the
+    problem's Q-table."""
     if kind == "bellman":
         return BellmanOptimal(solve_q(problem))
     if kind not in _HEURISTICS:
         raise ConfigurationError(f"unknown policy kind: {kind!r}")
-    cls, needs = _HEURISTICS[kind]
-    for action in needs:
-        if action not in problem.action_set:
+    cls = _HEURISTICS[kind]
+    for action in cls.act:
+        if action.size == 1 and action not in problem.action_set:
             raise ConfigurationError(
                 f"policy requires a unit {action} action, absent from the action set"
             )

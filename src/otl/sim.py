@@ -8,8 +8,8 @@ move sequences.
 
 Every policy is a finite automaton over the move tape (`Policy`): a path
 starts in state 0, plays `decide(state)` and steps through the policy's `up`
-or `down` list after each move. Bellman's state is its stage state (a row
-of a belief-lattice layer), so no `Belief` is built while simulating.
+or `down` list after each move. Bellman's state is its stage state (as the
+belief lattice numbers it), so no `Belief` is built while simulating.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthP
 def run(policy: Policy, model: MarketModel, cfg: SimConfig, keep_paths: bool = False) -> SimResult:
     """Run one policy over cfg.n_paths seeded paths of a market with the
     problem's ticks. A policy that reads the belief must have been built
-    for cfg.problem, since its lattice rows mean nothing for another. Its
+    for cfg.problem, since its lattice states mean nothing for another. Its
     `paths` are kept only with keep_paths, so by default it holds O(n_paths)."""
     problem, seed, n = cfg.problem, cfg.master_seed, cfg.n_paths
     if model.ticks != problem.ticks:

@@ -139,13 +139,15 @@ def assert_same_lattice(b0, T):
     this checks its ids and rows."""
     closed = b0.lattice(T, 10**6)
     oracle = Belief.lattice(b0, T, 10**6)
-    assert list(closed.sizes) == list(oracle.sizes)
+    assert list(closed.start) == list(oracle.start)
+    assert closed.start[0] == 0
     for t in range(T + 1):
         layer = oracle.beliefs(t)
         assert closed.beliefs(t) == layer
         # ids tell an int count from a float one, and repr is exact
         assert closed.ids(t) == oracle.ids(t) == [belief_id(b) for b in layer]
-        assert [closed.row(t, b) for b in layer] == list(range(len(layer)))
+        states = list(range(closed.start[t], closed.start[t + 1]))
+        assert [closed.state(t, b) for b in layer] == [oracle.state(t, b) for b in layer] == states
         if t < T:
             assert [x.hex() for x in closed.predictive(t).tolist()] == [
                 x.hex() for x in oracle.predictive(t).tolist()
@@ -204,16 +206,16 @@ class TestLattice:
     def test_rows_of_absent_beliefs_are_none(self, b0):
         T = 6
         lattice = b0.lattice(T, 10**6)
-        assert lattice.row(-1, b0) is None
-        assert lattice.row(T + 1, b0) is None
+        assert lattice.state(-1, b0) is None
+        assert lattice.state(T + 1, b0) is None
         for other in (Static(0.45), Mirror(0.55, Move.UP), BetaBernoulli(0.7, 0.9)):
             for t in range(T + 1):
-                assert lattice.row(t, other) is None
+                assert lattice.state(t, other) is None
         # layers outside 0..T are empty, in the closed form and the closure
         for built in (lattice, Belief.lattice(b0, T, 10**6)):
             for t in (-T - 2, -1, T + 1, T + 2):
                 assert built.beliefs(t) == [] and built.ids(t) == []
-                assert built.row(t, b0) is None
+                assert built.state(t, b0) is None
 
     @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
     def test_beta_rows_reached_at_another_t_are_none(self, b0):
@@ -222,7 +224,7 @@ class TestLattice:
         for t in range(T + 1):
             for s in range(T + 1):
                 for b in lattice.beliefs(s):
-                    assert (lattice.row(t, b) is None) == (s != t)
+                    assert (lattice.state(t, b) is None) == (s != t)
 
     @pytest.mark.parametrize(
         "b0,T,max_states",
@@ -236,6 +238,6 @@ class TestLattice:
     )
     def test_size_bound(self, b0, T, max_states):
         # T is the longest horizon whose lattice fits in max_states
-        assert sum(b0.lattice(T, max_states).sizes) <= max_states
+        assert b0.lattice(T, max_states).start[-1] <= max_states
         with pytest.raises(ResourceLimitError, match=f"exceeds {max_states} stage states"):
             b0.lattice(T + 1, max_states)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -362,6 +364,14 @@ class TestVerifyCommand:
         assert json.loads(report_path.read_text())["overall"] is False
 
 
+def _expand(argv, config_file, tmp_path):
+    """argv with {config} the config file and each other {name} a path under
+    tmp_path, and the names of those outputs."""
+    outputs = [a[1:-1] for a in argv if a.startswith("{") and a != "{config}"]
+    argv = [a.replace("{config}", config_file) for a in argv]
+    return [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv], outputs
+
+
 class TestUnwritableOutputs:
     """An output that cannot be written is a configuration error (exit 2),
     found before any work is done, and a failed run leaves no output file."""
@@ -443,13 +453,42 @@ class TestUnwritableOutputs:
             return FullDisk(fh) if os.path.basename(path) == target else fh
 
         monkeypatch.setattr(cli, "open", opener, raising=False)
-        outputs = [a[1:-1] for a in argv if a.startswith("{") and a != "{config}"]
-        argv = [a.replace("{config}", config_file) for a in argv]
-        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        argv, outputs = _expand(argv, config_file, tmp_path)
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"error: cannot write {tmp_path / target}: " in err
         assert "No space left on device" in err
+        for name in outputs:
+            assert not (tmp_path / name).exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--config", "{config}", "--out", "{q.csv}"],
+            ["solve", "--config", "{config}", "--dump-config"],
+            ["simulate", "--config", "{config}", "--policy", "cutloss",
+             "--out", "{paths.csv}", "--stats-out", "{stats.csv}"],
+            ["compare", "--config", "{config}", "--policies", "cutloss,buyhold",
+             "--out", "{stats.csv}"],
+            ["verify", "--suite", "price", "--json", "{report.json}"],
+        ],
+        ids=["solve", "dump-config", "simulate", "compare", "verify"],
+    )
+    def test_full_standard_output_exits_2(self, config_file, tmp_path, argv):
+        # a process of its own, so the interpreter's flush of stdout at exit runs
+        # too, with stdout buffered: unbuffered, a failed write keeps nothing to flush
+        argv, outputs = _expand(argv, config_file, tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "otl.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == EXIT_CONFIG
+        no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert proc.stderr == f"error: cannot write standard output: {no_space}\n"
         for name in outputs:
             assert not (tmp_path / name).exists()
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from otl import (
     ValidationError,
     solve_q,
 )
+from otl import mdp
 from otl.verify import _belief_grid, enumeration_q
 
 TICKS = (10.0, -10.0)
@@ -135,9 +137,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="overflow"):
             solve_q(problem(3, Static(0.6), ticks=(1.7e308, -1.7e308)))
 
-    def test_state_budget_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            solve_q(problem(100, BetaBernoulli(1, 1)), max_states=50)
+    def test_state_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(mdp, "MAX_STAGE_STATES", 50)
+        with pytest.raises(ResourceLimitError, match="exceeds 50 stage states"):
+            solve_q(problem(100, BetaBernoulli(1, 1)))
 
     @pytest.mark.parametrize(
         "belief,T",
@@ -308,20 +311,25 @@ class TestTableLayout:
     def test_layers_rows_and_arrays(self):
         b = BetaBernoulli(3, 2)
         table = solve_q(problem(4, b))
-        assert list(table.lattice.sizes) == [1, 2, 3, 4, 5]
+        start = table.lattice.start
+        assert list(start) == [0, 1, 3, 6, 10, 15]
         for t in range(5):
             # closure order: from each belief, its up child before its down child
             layer = [BetaBernoulli(3 + t - k, 2 + k) for k in range(t + 1)]
             assert table.lattice.beliefs(t) == layer
-            assert [table.lattice.row(t, belief) for belief in layer] == list(range(t + 1))
-            assert table.vs[t].shape == (len(layer),)
-            if t < 4:
-                assert table.qs[t].shape == (len(layer), 3)
-                assert table.best[t].shape == (len(layer),)
-        assert len(table.qs) == len(table.best) == 4
-        assert not table.vs[4].any()
+            states = [table.lattice.state(t, belief) for belief in layer]
+            assert states == list(range(start[t], start[t + 1]))
+            for s, belief in zip(states, layer):
+                # V is Q at the argmax, and 0 at the horizon
+                v = table.qs[s, table.best[s]] if t < 4 else 0.0
+                assert table.value(t, belief) == v
+        assert [f.name for f in fields(table)] == ["problem", "lattice", "qs", "best"]
+        assert table.qs.shape == (10, 3)
+        assert table.best.shape == (10,)
         with pytest.raises(ValueError):
-            table.qs[0][0, 0] = 1.0
+            table.qs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.best[0] = 1
 
     def test_queries_return_python_floats(self):
         b = BetaBernoulli(3, 2)

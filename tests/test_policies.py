@@ -100,6 +100,24 @@ class TestBellmanOptimal:
             make_policy("martingale", problem())
 
 
+@pytest.mark.parametrize(
+    "kind, actions, missing",
+    [
+        ("cutloss", (NEUTRAL, SHORT), "long"),
+        ("cutloss", (LONG, SHORT), "neutral"),
+        ("avgdown", (NEUTRAL, SHORT, Action(Direction.LONG, 2)), "long"),
+        ("buyhold", (NEUTRAL, SHORT), "long"),
+    ],
+    ids=["cutloss-long", "cutloss-neutral", "avgdown-long", "buyhold-long"],
+)
+def test_heuristic_needs_each_unit_action_it_plays(kind, actions, missing):
+    with pytest.raises(ConfigurationError) as err:
+        make_policy(kind, problem(actions=actions))
+    assert str(err.value) == (
+        f"policy requires a unit {missing} action, absent from the action set"
+    )
+
+
 class TestPolicyEquivalence:
     """With a snap-to-the-tape belief and only Long/Neutral available, the
     solved-table policy and cut-loss are the same rule."""

@@ -248,10 +248,9 @@ class _StateRecorder(BellmanOptimal):
 
 
 class TestRowWalk:
-    """Oracle for bellman's states: state minus the number of rows in the
-    layers before t is the row of layer t that holds the belief
-    `Belief.update` reaches, and bellman plays `optimal_action` at that
-    belief, on every path."""
+    """Oracle for bellman's states: at each t its state is the lattice's
+    state of the belief `Belief.update` reaches, and bellman plays
+    `optimal_action` at that belief, on every path."""
 
     @pytest.mark.parametrize(
         "belief0, lattice_kind",
@@ -268,14 +267,12 @@ class TestRowWalk:
         m = market(0.5)
         table = solve_q(problem(T, belief0))
         assert type(table.lattice) is lattice_kind
-        layers = [table.lattice.beliefs(t) for t in range(T + 1)]
-        offsets = [sum(table.lattice.sizes[:t]) for t in range(T + 1)]
         for moves, _ in enumerate_paths(m, T):
             pol = _StateRecorder(table)
             steps = replay(pol, m, moves).steps
             belief = belief0
             for t, move in enumerate(moves):
-                assert layers[t][pol.states[t] - offsets[t]] == belief
+                assert pol.states[t] == table.lattice.state(t, belief)
                 assert steps[t].action == table.optimal_action(t, belief)
                 belief = belief.update(move)
 
