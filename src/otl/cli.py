@@ -15,11 +15,13 @@ from dataclasses import astuple, fields
 from typing import Iterator, Optional, Sequence
 
 from . import verify as verify_mod
+from .actions import Move
 from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
+from .market import MarketModel
 from .mdp import solve_q
 from .policies import POLICY_KINDS, make_policy
-from .sim import SimResult, Stats, compare
+from .sim import OnPath, SimResult, Stats, WealthPath, compare
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -39,8 +41,18 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints help through _echo, so a failed write exits 2; subparsers share the class."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _echo(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="otl")
+    parser = _Parser(prog="otl")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the Q-table for a config")
@@ -119,16 +131,24 @@ def _csv_line(cells: Sequence[str]) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _write_paths_csv(result: SimResult, fh: _Output) -> None:
+def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
+    """A `sim.run` path consumer writing each path's rows of the path CSV. A row's head
+    (move,action,size,reward) is built once per action and move from `action.stake * tick`."""
     fh.write(_csv_line(PATH_CSV_COLUMNS))
-    for path_id, wp in enumerate(result.paths):
-        fh.write(
-            "".join(
-                f"{path_id},{t},{rec.move.value},{rec.action.direction.value},"
-                f"{rec.action.size},{_num(rec.reward)},{_num(rec.wealth_after)}\r\n"
-                for t, rec in enumerate(wp.steps)
-            )
-        )
+    heads: dict[int, tuple] = {}  # id(action) -> (up head, down head, action, which holds the id)
+
+    def write(path_id: int, path: WealthPath) -> None:
+        rows, down = [], Move.DOWN
+        for t, (move, action, wealth) in enumerate(zip(path.moves, path.actions, path.wealths)):
+            if id(action) not in heads:
+                cells = f"{action.direction.value},{action.size}"
+                up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
+                down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
+                heads[id(action)] = (up_head, down_head, action)
+            rows.append(f"{path_id},{t},{heads[id(action)][move is down]}{_num(wealth)}\r\n")
+        fh.write("".join(rows))
+
+    return write
 
 
 def _write_stats_csv(results: list[SimResult], fh: _Output) -> None:
@@ -140,6 +160,8 @@ def _write_stats_csv(results: list[SimResult], fh: _Output) -> None:
 def _echo(text: str) -> None:
     """Write and flush text to standard output. A failed write is a ConfigurationError,
     and stdout then goes to os.devnull, so Python's own flush at exit cannot fail too."""
+    if sys.stdout is None:  # as Python sets it when started with file descriptor 1 closed
+        raise ConfigurationError("cannot write standard output: it is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -216,8 +238,8 @@ def _cmd_compare(args) -> int:
 
 
 def _simulate(config: str, names: list[str], paths: Optional[str], stats: Optional[str]) -> int:
-    """Run the named policies on common random numbers (`sim.compare`), write the first
-    one's paths CSV and every one's stats CSV, and print the stats and pairwise CIs."""
+    """Run the named policies on common random numbers (`sim.compare`), write the paths CSV
+    (simulate's one policy) as it runs and the stats CSV, and print the stats and pairwise CIs."""
     cfg = load_config(config)
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
@@ -228,9 +250,9 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
     sim_cfg = cfg.sim_config()
     with _outputs(paths, stats) as (paths_out, stats_out):
         policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]
-        table = compare(policies, cfg.market(), sim_cfg, keep_paths=paths is not None)
-        if paths_out:
-            _write_paths_csv(table.results[0], paths_out)
+        model = cfg.market()
+        on_path = None if paths_out is None else _path_writer(paths_out, model)
+        table = compare(policies, model, sim_cfg, on_path)
         if stats_out:
             _write_stats_csv(table.results, stats_out)
         # printed before the outputs close, so a failed print removes them
@@ -259,16 +281,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
-    except (ConfigurationError, ValidationError) as exc:
+    except (ConfigurationError, ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Path i of a run is driven by a seed derived from (master_seed, i), so results
 are a pure function of the configuration and independent of execution order. A
-run keeps path i, as `SimResult.paths[i]` with step t in `steps[t]`, if asked to.
+run keeps no path: it hands path i to its consumer, if any, as it is replayed.
 Policies are compared on common random numbers: every policy sees the same
 move sequences.
 
@@ -18,7 +18,7 @@ import gc
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .mdp import DecisionProblem
 from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
-# bound on n_paths x horizon: a run that keeps its paths holds a StepRecord
-# per step, ~133 B each (tracemalloc, cutloss, 20,000 paths x T=20), so
-# ~0.67 GB at the bound; one that does not holds a few bytes per path
+# bound on n_paths x horizon: a run holds one path's steps and 17 B per path
+# (terminal wealth, drawdown and ruin arrays), ~85 MB at T=1; the path CSV
+# simulate streams out takes ~34 B per step, ~0.17 GB on disk at the bound
 MAX_PATH_STEPS = 5_000_000
+OnPath = Callable[[int, "WealthPath"], None]  # on_path(i, path), as path i is replayed
 
 
 @dataclass(frozen=True)
@@ -58,36 +59,17 @@ class SimConfig:
             )
 
 
-@dataclass(slots=True)
-class StepRecord:
-    move: Move
-    action: Action
-    reward: float
-    wealth_after: float
-
-
 @dataclass
 class WealthPath:
-    initial_wealth: float
-    steps: list[StepRecord]
+    """A replayed path's moves, the action played and wealth after each step, and its
+    terminal wealth, max drawdown (from a peak that starts at the initial wealth) and ruin."""
 
-    @property
-    def terminal_wealth(self) -> float:
-        return self.steps[-1].wealth_after if self.steps else self.initial_wealth
-
-    def max_drawdown(self) -> float:
-        peak = self.initial_wealth
-        worst = 0.0
-        for rec in self.steps:
-            w = rec.wealth_after
-            if w > peak:
-                peak = w
-            elif peak - w > worst:
-                worst = peak - w
-        return worst
-
-    def ruined(self) -> bool:
-        return any(rec.wealth_after <= 0 for rec in self.steps)
+    moves: Sequence[Move]
+    actions: list[Action]
+    wealths: list[float]
+    terminal_wealth: float
+    max_drawdown: float
+    ruined: bool
 
 
 @dataclass
@@ -109,7 +91,7 @@ class Stats:
 @dataclass
 class SimResult:
     policy_name: str
-    paths: list[WealthPath]
+    paths: list[WealthPath]  # always empty, as a run keeps no path; perfbench/child.py reads it
     stats: Stats
     terminals: np.ndarray = field(repr=False)
 
@@ -156,41 +138,46 @@ def summarize(terminals: np.ndarray, drawdowns: np.ndarray, ruined: np.ndarray) 
 
 
 def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthPath:
-    """Drive the policy's automaton through a fixed move sequence from its
-    state 0.
-
-    This is the whole per-path engine; sampling only chooses `moves`, so
-    exact expectations can be taken by replaying every enumerated path.
-    """
+    """Drive the policy's automaton through a fixed move sequence from its state 0. This
+    is the whole per-path engine; sampling only chooses `moves`, so exact expectations
+    can be taken by replaying every enumerated path."""
     problem = policy.problem
     if problem is not None and len(moves) > problem.horizon:
         raise ValidationError(
             f"policy {policy.name} was solved for horizon {problem.horizon}, got {len(moves)} moves"
         )
-    state = 0
-    wealth = model.initial_wealth
-    steps: list[StepRecord] = []
-    append = steps.append
+    state, worst, ruined = 0, 0.0, False
+    wealth = peak = model.initial_wealth
+    actions: list[Action] = []
+    wealths: list[float] = []
     decide, up, down = policy.decide, policy.up, policy.down
     u, d, up_move = model.u, model.d, Move.UP
     for move in moves:
         action = decide(state)
         if move is up_move:
-            reward = action.stake * u
+            wealth += action.stake * u
             state = up[state]
         else:
-            reward = action.stake * d
+            wealth += action.stake * d
             state = down[state]
-        wealth += reward
-        append(StepRecord(move, action, reward, wealth))
-    return WealthPath(initial_wealth=model.initial_wealth, steps=steps)
+        if wealth > peak:
+            peak = wealth
+        elif peak - wealth > worst:
+            worst = peak - wealth
+        if wealth <= 0:
+            ruined = True
+        actions.append(action)
+        wealths.append(wealth)
+    return WealthPath(moves, actions, wealths, wealth, worst, ruined)
 
 
-def run(policy: Policy, model: MarketModel, cfg: SimConfig, keep_paths: bool = False) -> SimResult:
-    """Run one policy over cfg.n_paths seeded paths of a market with the
-    problem's ticks. A policy that reads the belief must have been built
-    for cfg.problem, since its lattice states mean nothing for another. Its
-    `paths` are kept only with keep_paths, so by default it holds O(n_paths)."""
+def run(
+    policy: Policy, model: MarketModel, cfg: SimConfig, on_path: Optional[OnPath] = None
+) -> SimResult:
+    """Run one policy over cfg.n_paths seeded paths of a market with the problem's ticks.
+    A policy that reads the belief must have been built for cfg.problem, since its lattice
+    states mean nothing for another. Each path i is passed to on_path(i, path), if given,
+    as it is replayed and then dropped, so a run holds O(n_paths) floats and one path."""
     problem, seed, n = cfg.problem, cfg.master_seed, cfg.n_paths
     if model.ticks != problem.ticks:
         raise ValidationError(f"market ticks {model.ticks} != problem ticks {problem.ticks}")
@@ -203,22 +190,17 @@ def run(policy: Policy, model: MarketModel, cfg: SimConfig, keep_paths: bool = F
         raise ValidationError(
             f"policy {policy.name} was built for another problem: {'; '.join(differ)}"
         )
-    paths: list[WealthPath] = []
     terminals, drawdowns, ruined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    # No object a path makes (records, their list, the path) refers back to
-    # another, so reference counting frees them all; left on, the cyclic
-    # collector would only rescan the kept paths' records again and again.
     collecting = gc.isenabled()
-    gc.disable()
+    gc.disable()  # nothing a path makes refers back to another: refcounting frees it all
     try:
         for i in range(n):
             moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
             path = replay(policy, model, moves)
-            terminals[i] = path.terminal_wealth
-            drawdowns[i] = path.max_drawdown()
-            ruined[i] = path.ruined()
-            if keep_paths:
-                paths.append(path)
+            terminals[i], drawdowns[i] = path.terminal_wealth, path.max_drawdown
+            ruined[i] = path.ruined
+            if on_path is not None:
+                on_path(i, path)
     finally:
         if collecting:
             gc.enable()
@@ -226,18 +208,18 @@ def run(policy: Policy, model: MarketModel, cfg: SimConfig, keep_paths: bool = F
     with np.errstate(over="ignore", invalid="ignore"):
         stats = summarize(terminals, drawdowns, ruined)
     _check_finite(stats, f"policy {policy.name}", model)
-    return SimResult(policy_name=policy.name, paths=paths, stats=stats, terminals=terminals)
+    return SimResult(policy_name=policy.name, paths=[], stats=stats, terminals=terminals)
 
 
 def compare(
-    policies: Sequence[Policy], model: MarketModel, cfg: SimConfig, keep_paths: bool = False
+    policies: Sequence[Policy], model: MarketModel, cfg: SimConfig, on_path: Optional[OnPath] = None
 ) -> ComparisonTable:
     """Evaluate every policy on the same seeded paths (common random numbers)
-    and report pairwise mean-difference 99% confidence intervals; `run`
-    says what keep_paths keeps."""
+    and report pairwise mean-difference 99% confidence intervals; on_path,
+    if given, gets every path of each policy's `run` in turn."""
     if not policies:
         raise ValidationError("need at least one policy to compare")
-    results = [run(p, model, cfg, keep_paths) for p in policies]
+    results = [run(p, model, cfg, on_path) for p in policies]
     pairwise: list[PairwiseDiff] = []
     for a, b in itertools.combinations(results, 2):
         with np.errstate(over="ignore", invalid="ignore"):

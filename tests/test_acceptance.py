@@ -160,17 +160,14 @@ def test_criterion_7_policy_equivalence_on_sampled_paths():
     prob = DecisionProblem(horizon=12, ticks=TICKS, initial_belief=belief0, action_set=(LONG, NEUTRAL))
     model = MarketModel(u=10.0, d=-10.0, p_up=0.5, initial_wealth=1000.0)
     cfg = SimConfig(prob, n_paths=1000, master_seed=7)
-    table = compare(
+    played = []  # each path's actions, bellman's 1000 paths and then cutloss's
+    compare(
         [make_policy("bellman", prob), make_policy("cutloss", prob)],
         model,
         cfg,
-        keep_paths=True,
+        lambda i, path: played.append(path.actions),
     )
-    bellman_res, cutloss_res = table.results
-    identical = all(
-        [s.action for s in a.steps] == [s.action for s in b.steps]
-        for a, b in zip(bellman_res.paths, cutloss_res.paths)
-    )
+    identical = len(played) == 2000 and played[:1000] == played[1000:]
     report("7 (solved-table policy equals cut-loss on 1000 sampled paths)", identical)
 
 

@@ -67,7 +67,8 @@ def test_simulate(tmp_path, policy):
             "--out", "{out:paths}", "--stats-out", "{out:stats}"]
     counts, calls = _trace(tmp_path, config, argv)
     assert _decisions(counts) == PATHS * T
-    assert counts["sim.retained_records"] == PATHS * T
+    # the path CSV is written as each path is replayed, so no step is kept
+    assert counts["sim.retained_records"] == 0
     # every policy plays its automaton through the one Policy.decide
     assert calls["policies.Policy.decide"] == PATHS * T
     # a policy that reads no belief has no belief updated for it

@@ -8,15 +8,18 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otl import cli, verify as verify_mod
+from otl.actions import Move
 from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
+from otl.market import derive_path_seed, sample_moves
 from otl.mdp import solve_q
 from otl.policies import POLICY_KINDS
 
@@ -259,6 +262,50 @@ class TestSimulateCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_hand_worked_path_csv(self, tmp_path, capsys):
+        # seed 1 draws down, down, up for path 0 and up, up, down for path 1;
+        # cutloss is flat after a down move, and a flat step earns 0 * tick:
+        # -0.0 on a down move, 0.0 on an up move
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "market.u = 10\nmarket.d = -10\nmarket.p = 0.5\nmarket.initial_wealth = 1000\n"
+            "problem.horizon = 3\nsim.paths = 2\nsim.seed = 1\n"
+        )
+        down, up = Move.DOWN, Move.UP
+        assert sample_moves(0.5, 3, derive_path_seed(1, 0)) == [down, down, up]
+        assert sample_moves(0.5, 3, derive_path_seed(1, 1)) == [up, up, down]
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(path), "--policy", "cutloss", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (
+            b"path_id,t,move,action,size,reward,wealth\r\n"
+            b"0,0,down,long,1,-10.0,990.0\r\n"
+            b"0,1,down,neutral,1,-0.0,990.0\r\n"
+            b"0,2,up,neutral,1,0.0,990.0\r\n"
+            b"1,0,up,long,1,10.0,1010.0\r\n"
+            b"1,1,up,long,1,10.0,1020.0\r\n"
+            b"1,2,down,long,1,-10.0,1010.0\r\n"
+        )
+
+    @pytest.mark.parametrize("policy", ["cutloss", "avgdown"])
+    def test_path_csv_streams_in_bounded_memory(self, policy, tmp_path, capsys):
+        # 40,000 steps held as records took ~5 MiB (~133 B each); streamed,
+        # the run holds one path's steps and 17 B per path
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(path), "--policy", policy, "--out", str(out)]
+        path.write_text("problem.horizon = 20\nsim.paths = 3\n")
+        assert main(argv) == EXIT_OK  # warm up lazy imports and caches
+        path.write_text("problem.horizon = 20\nsim.paths = 2000\n")
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_bytes().splitlines()) == 1 + 2000 * 20
+        assert peak < 1 << 20
+
 
 class TestCompareCommand:
     def test_stats_csv_one_row_per_policy(self, config_file, tmp_path, capsys):
@@ -472,8 +519,10 @@ class TestUnwritableOutputs:
             ["compare", "--config", "{config}", "--policies", "cutloss,buyhold",
              "--out", "{stats.csv}"],
             ["verify", "--suite", "price", "--json", "{report.json}"],
+            ["--help"],
+            ["simulate", "--help"],
         ],
-        ids=["solve", "dump-config", "simulate", "compare", "verify"],
+        ids=["solve", "dump-config", "simulate", "compare", "verify", "help", "simulate-help"],
     )
     def test_full_standard_output_exits_2(self, config_file, tmp_path, argv):
         # a process of its own, so the interpreter's flush of stdout at exit runs
@@ -489,6 +538,24 @@ class TestUnwritableOutputs:
         assert proc.returncode == EXIT_CONFIG
         no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert proc.stderr == f"error: cannot write standard output: {no_space}\n"
+        for name in outputs:
+            assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "price", "--json", "{report.json}"], ["--help"]],
+        ids=["verify", "help"],
+    )
+    def test_closed_standard_output_exits_2(self, config_file, tmp_path, argv):
+        # with file descriptor 1 closed, Python starts with sys.stdout None
+        argv, outputs = _expand(argv, config_file, tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "otl.cli", *argv],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == "error: cannot write standard output: it is closed\n"
         for name in outputs:
             assert not (tmp_path / name).exists()
 

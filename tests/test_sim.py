@@ -32,7 +32,7 @@ from otl import sim
 from otl.beliefs import _BetaCounts, _Layers
 from otl.errors import ResourceLimitError
 from otl.policies import POLICY_KINDS
-from otl.sim import MAX_PATH_STEPS, SimConfig, StepRecord, WealthPath, replay
+from otl.sim import MAX_PATH_STEPS, SimConfig, WealthPath, replay
 
 TICKS = (10.0, -10.0)
 
@@ -49,68 +49,123 @@ def cfg(n_paths, horizon, seed=101, belief=Static(0.6)):
     return SimConfig(problem(horizon, belief), n_paths=n_paths, master_seed=seed)
 
 
+def walk(initial, wealths):
+    """Oracle for a path's max drawdown and ruin, from its wealth list alone:
+    the largest fall from the running peak (which starts at the initial
+    wealth), and whether any wealth is at or below 0."""
+    peaks = np.maximum.accumulate([initial, *wealths])[1:]
+    drawdown = max([0.0, *(peak - w for peak, w in zip(peaks, wealths))])
+    return drawdown, any(w <= 0 for w in wealths)
+
+
+def scripted(wealths, initial=1000.0):
+    """Replay a path whose wealth after each step is `wealths`: ticks of
+    +-1 and a policy whose state is t, playing a stake of the step's gain."""
+    moves, acts, before = [], [], initial
+    for w in wealths:
+        gain = w - before
+        moves.append(Move.UP if gain >= 0 else Move.DOWN)
+        acts.append(Action(Direction.LONG, int(abs(gain))) if gain else NEUTRAL)
+        before = w
+
+    class Script(Policy):
+        name = "script"
+        up = down = tuple(range(1, len(wealths) + 1))
+        act = tuple(acts)
+
+    model = MarketModel(u=1.0, d=-1.0, p_up=0.5, initial_wealth=initial)
+    path = replay(Script(), model, moves)
+    assert path.wealths == wealths
+    return path
+
+
 class TestSummarize:
     """summarize takes each path's terminal wealth, max drawdown and ruined
-    flag, as `run` reads them from `WealthPath`."""
+    flag, as `replay` takes them inline and `run` stores them."""
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             summarize(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
 
-    def _path(self, wealths, initial=1000.0):
-        steps = [
-            StepRecord(move=Move.UP, action=LONG, reward=0.0, wealth_after=w) for w in wealths
-        ]
-        return WealthPath(initial_wealth=initial, steps=steps)
-
     def _summarize(self, paths):
+        for path in paths:
+            assert (path.max_drawdown, path.ruined) == walk(1000.0, path.wealths)
         return summarize(
             np.array([p.terminal_wealth for p in paths]),
-            np.array([p.max_drawdown() for p in paths]),
-            np.array([p.ruined() for p in paths]),
+            np.array([p.max_drawdown for p in paths]),
+            np.array([p.ruined for p in paths]),
         )
 
     def test_constant_path(self):
-        path = self._path([1000.0, 1000.0])
-        assert path.max_drawdown() == 0.0
+        path = scripted([1000.0, 1000.0])
+        assert path.max_drawdown == 0.0
         stats = self._summarize([path])
         assert stats.std_terminal == 0.0
         assert stats.mean_max_drawdown == 0.0
 
     def test_drawdown_peak_to_trough(self):
-        path = self._path([1000.0, 990.0, 1010.0])
-        assert path.max_drawdown() == 10.0
+        path = scripted([1000.0, 990.0, 1010.0])
+        assert path.max_drawdown == 10.0
         stats = self._summarize([path])
         assert stats.mean_max_drawdown == 10.0
 
     def test_two_terminals(self):
-        stats = self._summarize([self._path([980.0]), self._path([1020.0])])
+        stats = self._summarize([scripted([980.0]), scripted([1020.0])])
         assert stats.mean_terminal == 1000.0
         assert stats.q50 == 1000.0
 
     def test_quantiles_nondecreasing_and_ruin(self):
-        paths = [self._path([w]) for w in (-5.0, 10.0, 30.0, 500.0, 900.0)]
-        assert [p.ruined() for p in paths] == [True, False, False, False, False]
+        paths = [scripted([w]) for w in (-5.0, 10.0, 30.0, 500.0, 900.0)]
+        assert [p.ruined for p in paths] == [True, False, False, False, False]
         stats = self._summarize(paths)
         q = stats.quantiles()
         assert list(q) == sorted(q)
         assert stats.ruin_fraction == pytest.approx(0.2)
 
+    def test_ruin_at_zero_wealth(self):
+        path = scripted([10.0, 0.0, 20.0])
+        assert (path.max_drawdown, path.ruined) == (1000.0, True)
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_inline_statistics_match_a_walk_on_every_path(self, kind):
+        # a small initial wealth, so that some paths are ruined, some at exactly 0
+        T, m = 8, market(0.5, wealth=20.0)
+        pol = make_policy(kind, problem(T))
+        ruined = 0
+        for moves, _ in enumerate_paths(m, T):
+            path = replay(pol, m, moves)
+            assert path.moves == moves and len(path.actions) == len(path.wealths) == T
+            assert path.terminal_wealth == path.wealths[-1]
+            assert (path.max_drawdown, path.ruined) == walk(20.0, path.wealths)
+            ruined += path.ruined
+        assert ruined > 0 or kind == "bellman"
+
+    def test_empty_path(self):
+        path = replay(make_policy("cutloss", problem(3)), market(0.5), [])
+        assert path == WealthPath([], [], [], 1000.0, 0.0, False)
+
 
 class TestRun:
     def test_determinism(self):
         pol = make_policy("cutloss", problem(8))
-        a = run(pol, market(0.45), cfg(300, 8), keep_paths=True)
-        b = run(pol, market(0.45), cfg(300, 8), keep_paths=True)
+        a_paths, b_paths = [], []
+        a = run(pol, market(0.45), cfg(300, 8), lambda i, p: a_paths.append((i, p)))
+        b = run(pol, market(0.45), cfg(300, 8), lambda i, p: b_paths.append((i, p)))
         assert a.stats == b.stats
-        assert [p.steps for p in a.paths] == [p.steps for p in b.paths]
+        assert [i for i, _ in a_paths] == list(range(300))
+        assert a_paths == b_paths
 
     def test_accounting_identity(self):
         pol = make_policy("avgdown", problem(12))
-        res = run(pol, market(0.48), cfg(200, 12), keep_paths=True)
-        for path in res.paths:
-            total = sum(s.reward for s in path.steps)
-            assert path.terminal_wealth == path.initial_wealth + total
+        m, paths = market(0.48), []
+        res = run(pol, m, cfg(200, 12), lambda i, p: paths.append(p))
+        assert len(paths) == 200
+        for path, terminal in zip(paths, res.terminals):
+            rewards = [
+                a.stake * (m.u if move is Move.UP else m.d)
+                for move, a in zip(path.moves, path.actions)
+            ]
+            assert path.terminal_wealth == terminal == m.initial_wealth + sum(rewards)
 
     def test_fair_coin_fixed_size_mean(self):
         pol = make_policy("buyhold", problem(10))
@@ -123,7 +178,7 @@ class TestRun:
         # a mirror trader who exits after a loss must re-enter on the next up
         pol = make_policy("bellman", problem(3, belief=Mirror(0.6, Move.UP), actions=(LONG, NEUTRAL)))
         path = replay(pol, market(0.5), [Move.DOWN, Move.UP, Move.UP])
-        assert [s.action for s in path.steps] == [LONG, NEUTRAL, LONG]
+        assert path.actions == [LONG, NEUTRAL, LONG]
 
     @pytest.mark.parametrize("kind", ["bellman", "cutloss"])
     def test_market_ticks_must_be_the_problems(self, kind):
@@ -223,16 +278,16 @@ class TestHeuristicRules:
             for move in moves:
                 stakes.append(stake)
                 stake = min(2 * stake, 64) if move is Move.DOWN else 1
-            steps = replay(pol, m, moves).steps
-            assert [s.action for s in steps] == [Action(Direction.LONG, k) for k in stakes]
+            actions = replay(pol, m, moves).actions
+            assert actions == [Action(Direction.LONG, k) for k in stakes]
 
     def test_cutloss_flat_exactly_after_a_down_move(self):
         T, m = 8, market(0.5)
         pol = make_policy("cutloss", problem(T))
         for moves, _ in enumerate_paths(m, T):
-            steps = replay(pol, m, moves).steps
+            actions = replay(pol, m, moves).actions
             after_down = [False] + [move is Move.DOWN for move in moves[:-1]]
-            assert [s.action for s in steps] == [NEUTRAL if flat else LONG for flat in after_down]
+            assert actions == [NEUTRAL if flat else LONG for flat in after_down]
 
 
 class _StateRecorder(BellmanOptimal):
@@ -269,11 +324,11 @@ class TestRowWalk:
         assert type(table.lattice) is lattice_kind
         for moves, _ in enumerate_paths(m, T):
             pol = _StateRecorder(table)
-            steps = replay(pol, m, moves).steps
+            actions = replay(pol, m, moves).actions
             belief = belief0
             for t, move in enumerate(moves):
                 assert pol.states[t] == table.lattice.state(t, belief)
-                assert steps[t].action == table.optimal_action(t, belief)
+                assert actions[t] == table.optimal_action(t, belief)
                 belief = belief.update(move)
 
 
@@ -287,15 +342,17 @@ class TestCompare:
 
     def test_common_random_numbers_share_moves(self):
         prob = problem(5)
-        table = compare(
+        seen = []
+        compare(
             [make_policy("cutloss", prob), make_policy("buyhold", prob)],
             market(0.5),
             cfg(50, 5),
-            keep_paths=True,
+            lambda i, path: seen.append((i, path.moves)),
         )
-        a, b = table.results
-        for pa, pb in zip(a.paths, b.paths):
-            assert [s.move for s in pa.steps] == [s.move for s in pb.steps]
+        # each policy's paths in turn, each path i with the same moves
+        assert len(seen) == 100
+        assert seen[:50] == seen[50:]
+        assert [i for i, _ in seen[:50]] == list(range(50))
 
     def test_cutloss_beats_avgdown_in_a_down_market(self):
         prob = problem(15)
@@ -312,16 +369,19 @@ class TestCompare:
     def test_kept_paths_change_no_result(self):
         prob = problem(9)
         policies = [make_policy(kind, prob) for kind in POLICY_KINDS]
-        kept = compare(policies, market(0.45), cfg(400, 9), keep_paths=True)
+        seen = []
+        kept = compare(policies, market(0.45), cfg(400, 9), lambda i, p: seen.append(p))
         table = compare(policies, market(0.45), cfg(400, 9))
         assert table.pairwise == kept.pairwise
-        for res, ref in zip(table.results, kept.results):
+        for k, (res, ref) in enumerate(zip(table.results, kept.results)):
             assert res.stats == ref.stats
             assert res.terminals.tolist() == ref.terminals.tolist()
-            assert res.paths == [] and len(ref.paths) == 400
+            passed = seen[400 * k : 400 * (k + 1)]
+            assert [p.terminal_wealth for p in passed] == ref.terminals.tolist()
+            assert res.paths == [] and ref.paths == []
 
     def test_unkept_paths_hold_no_step_records(self):
-        # each policy's 40,000 step records would take ~5 MB (~133 B each)
+        # each policy's 40,000 steps held as records took ~5 MB (~133 B each)
         prob = problem(20)
         policies = [make_policy("cutloss", prob), make_policy("avgdown", prob)]
         compare(policies, market(0.45), cfg(3, 20))  # warm up lazy imports and caches
