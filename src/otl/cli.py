@@ -21,7 +21,7 @@ from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .market import MarketModel
 from .mdp import solve_q
 from .policies import POLICY_KINDS, make_policy
-from .sim import OnPath, SimResult, Stats, WealthPath, compare
+from .sim import WEALTH_CELLS_CAP, OnPath, SimResult, Stats, WealthPath, compare
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -132,21 +132,33 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 
 def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
-    """A `sim.run` path consumer writing each path's rows of the path CSV. A row's head
-    (move,action,size,reward) is built once per action and move from `action.stake * tick`."""
+    """A `sim.run` path consumer writing each path's rows of the path CSV. A row after its
+    path_id is a `t,` cell built once per t, a head (move,action,size,reward) built once per
+    action and move from `action.stake * tick`, and a `wealth\\r\\n` cell cached per wealth."""
     fh.write(_csv_line(PATH_CSV_COLUMNS))
     heads: dict[int, tuple] = {}  # id(action) -> (up head, down head, action, which holds the id)
+    tcells: list[str] = []
+    wcells: dict[float, str] = {}
 
     def write(path_id: int, path: WealthPath) -> None:
+        tcells.extend(f"{t}," for t in range(len(tcells), len(path.wealths)))
         rows, down = [], Move.DOWN
-        for t, (move, action, wealth) in enumerate(zip(path.moves, path.actions, path.wealths)):
-            if id(action) not in heads:
+        for tcell, move, action, wealth in zip(tcells, path.moves, path.actions, path.wealths):
+            head = heads.get(id(action))
+            if head is None:
                 cells = f"{action.direction.value},{action.size}"
                 up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
                 down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
-                heads[id(action)] = (up_head, down_head, action)
-            rows.append(f"{path_id},{t},{heads[id(action)][move is down]}{_num(wealth)}\r\n")
-        fh.write("".join(rows))
+                head = heads[id(action)] = (up_head, down_head, action)
+            wcell = wcells.get(wealth)
+            if wcell is None:
+                wcell = f"{_num(wealth)}\r\n"
+                # -0.0 == 0.0 would share a key, so zero is never cached
+                if wealth and len(wcells) < WEALTH_CELLS_CAP:
+                    wcells[wealth] = wcell
+            rows.append(tcell + head[move is down] + wcell)
+        prefix = f"{path_id},"
+        fh.write(prefix + prefix.join(rows))
 
     return write
 

@@ -112,6 +112,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(
                 f"line {lineno}: cannot parse {value!r} as {conv.__name__} for {key}"
             )
+        if key == "sim.paths" and cfg.sim_paths < 1:
+            raise ConfigurationError(f"line {lineno}: sim.paths must be >= 1, got {cfg.sim_paths}")
     try:
         cfg.market()
         cfg.problem()

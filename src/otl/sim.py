@@ -29,10 +29,12 @@ from .mdp import DecisionProblem
 from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
-# bound on n_paths x horizon: a run holds one path's steps and 17 B per path
-# (terminal wealth, drawdown and ruin arrays), ~85 MB at T=1; the path CSV
-# simulate streams out takes ~34 B per step, ~0.17 GB on disk at the bound
+# bound on n_paths x horizon: a run holds one path's steps, 17 B per path (terminal
+# wealth, drawdown and ruin arrays; ~85 MB at T=1) and the capped wealth cells below;
+# simulate's path CSV takes ~34 B per step, ~0.17 GB on disk at the bound
 MAX_PATH_STEPS = 5_000_000
+# the path-CSV writer caches a cell per distinct wealth, up to this many (~2 MiB)
+WEALTH_CELLS_CAP = 1 << 14
 OnPath = Callable[[int, "WealthPath"], None]  # on_path(i, path), as path i is replayed
 
 

@@ -11,7 +11,7 @@ import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otl import cli, verify as verify_mod
 from otl.actions import Move
@@ -21,7 +21,8 @@ from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
 from otl.market import derive_path_seed, sample_moves
 from otl.mdp import solve_q
-from otl.policies import POLICY_KINDS
+from otl.policies import POLICY_KINDS, make_policy
+from otl.sim import replay
 
 BASE_CONFIG = """\
 # desk defaults
@@ -71,6 +72,20 @@ class TestConfigParsing:
     def test_bad_value_carries_line_number(self):
         with pytest.raises(ConfigurationError, match="line 1"):
             parse_config("sim.paths = many\n")
+
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_sim_paths_below_one_carries_line_number(self, paths, tmp_path, capsys):
+        text = f"market.u = 10\nsim.paths = {paths}\n"
+        message = f"line 2: sim.paths must be >= 1, got {paths}"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(path), "--policy", "cutloss", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -215,6 +230,45 @@ class TestSolveCommand:
         assert len(best_lines) == sum(len(table.lattice.beliefs(t)) for t in range(8))
 
 
+# ticks of either sign's size, whole and fractional
+_TICKS = st.one_of(st.integers(1, 20).map(float), st.floats(0.01, 20.0))
+
+
+def _check_path_csv(tmp, u, d, wealth, p, q0, horizon, paths, seed):
+    """Run `otl simulate` for each policy and compare its path CSV with csv.writer rows
+    built from replaying each sampled path."""
+    text = (
+        f"market.u = {u!r}\nmarket.d = {d!r}\nmarket.p = {p!r}\n"
+        f"market.initial_wealth = {wealth!r}\nproblem.horizon = {horizon}\n"
+        f"belief.q0 = {q0!r}\nsim.paths = {paths}\nsim.seed = {seed}\n"
+    )
+    config = os.path.join(tmp, "run.cfg")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    cfg = parse_config(text)
+    model, problem = cfg.market(), cfg.problem()
+    for kind in POLICY_KINDS:
+        out = os.path.join(tmp, f"{kind}.csv")
+        argv = ["simulate", "--config", config, "--policy", kind, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(cli.PATH_CSV_COLUMNS)
+        policy = make_policy(kind, problem)
+        for i in range(paths):
+            moves = sample_moves(p, horizon, derive_path_seed(seed, i))
+            path = replay(policy, model, moves)
+            for t, (move, action, wealth_t) in enumerate(zip(moves, path.actions, path.wealths)):
+                tick = u if move is Move.UP else d
+                writer.writerow(
+                    (i, t, move.value, action.direction.value, action.size,
+                     repr(action.stake * tick), repr(wealth_t))
+                )
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue(), kind
+
+
 class TestSimulateCommand:
     def test_writes_path_csv(self, config_file, tmp_path, capsys):
         out = tmp_path / "paths.csv"
@@ -287,7 +341,77 @@ class TestSimulateCommand:
             b"1,2,down,long,1,-10.0,1010.0\r\n"
         )
 
-    @pytest.mark.parametrize("policy", ["cutloss", "avgdown"])
+    def test_hand_worked_negative_zero_wealth(self, tmp_path, capsys):
+        # 0.0 == -0.0, so a cache keyed by wealth must not hold either: from -0.0 a
+        # flat down step stays at -0.0 (-0.0 + -0.0) and a flat up step goes to 0.0
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "market.u = 10\nmarket.d = -10\nmarket.p = 0.5\nmarket.initial_wealth = -0.0\n"
+            "problem.horizon = 3\nbelief.kind = static\nbelief.q0 = 0.5\n"
+            "sim.paths = 2\nsim.seed = 1\n"
+        )
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(path), "--policy", "bellman", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (
+            b"path_id,t,move,action,size,reward,wealth\r\n"
+            b"0,0,down,neutral,1,-0.0,-0.0\r\n"
+            b"0,1,down,neutral,1,-0.0,-0.0\r\n"
+            b"0,2,up,neutral,1,0.0,0.0\r\n"
+            b"1,0,up,neutral,1,0.0,0.0\r\n"
+            b"1,1,up,neutral,1,0.0,0.0\r\n"
+            b"1,2,down,neutral,1,-0.0,0.0\r\n"
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @example(u=10.0, d=None, wealth=-0.0, p=0.5, q0=0.5, horizon=3, paths=2, seed=1)
+    @given(
+        u=_TICKS,
+        d=st.one_of(st.none(), _TICKS.map(float.__neg__)),
+        wealth=st.one_of(st.sampled_from([0.0, -0.0, 1000.0]), st.floats(-50.0, 50.0)),
+        p=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        q0=st.sampled_from([0.3, 0.5, 0.6]),
+        horizon=st.integers(1, 8),
+        paths=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_path_csv_matches_an_independent_formatter(
+        self, u, d, wealth, p, q0, horizon, paths, seed
+    ):
+        # d None is -u: at q0 = 0.5 bellman's every action earns 0 in expectation and it
+        # stays flat, so a zero wealth repeats
+        with tempfile.TemporaryDirectory() as tmp:
+            _check_path_csv(tmp, u, -u if d is None else d, wealth, p, q0, horizon, paths, seed)
+
+    def test_path_csv_past_the_wealth_cache_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "WEALTH_CELLS_CAP", 2)
+        _check_path_csv(str(tmp_path), 1.1, -0.7, 1000.3, 0.5, 0.6, 8, 20, 3)
+
+    def test_wealth_cache_stops_at_its_cap(self, tmp_path, monkeypatch, capsys):
+        # 2,000 avgdown paths at fractional ticks reach ~2,000 distinct wealths, ~0.24 MiB
+        # of cached cells; past a cap of 2 the writer caches no more, and writes the same
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(path), "--policy", "avgdown", "--out", str(out)]
+        text = "market.u = 1.1\nmarket.d = -0.7\nmarket.initial_wealth = 1000.3\n"
+        text += "problem.horizon = 20\n"
+        path.write_text(text + "sim.paths = 3\n")
+        assert main(argv) == EXIT_OK  # warm up lazy imports and caches
+        path.write_text(text + "sim.paths = 2000\n")
+        peaks, outputs = [], []
+        for cap in [cli.WEALTH_CELLS_CAP, 2]:
+            monkeypatch.setattr(cli, "WEALTH_CELLS_CAP", cap)
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert peaks[1] < peaks[0] - (100 << 10)
+
+    @pytest.mark.parametrize("policy", POLICY_KINDS)
     def test_path_csv_streams_in_bounded_memory(self, policy, tmp_path, capsys):
         # 40,000 steps held as records took ~5 MiB (~133 B each); streamed,
         # the run holds one path's steps and 17 B per path
