@@ -21,7 +21,7 @@ from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .market import MarketModel
 from .mdp import solve_q
 from .policies import POLICY_KINDS, make_policy
-from .sim import WEALTH_CELLS_CAP, OnPath, SimResult, Stats, WealthPath, compare
+from .sim import OnPath, SimResult, Stats, WealthPath, compare
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -31,6 +31,8 @@ EXIT_RESOURCE = 3
 PATH_CSV_COLUMNS = ["path_id", "t", "move", "action", "size", "reward", "wealth"]
 STATS_CSV_COLUMNS = ["policy", *(f.name for f in fields(Stats))]
 QTABLE_CSV_COLUMNS = ["t", "belief_id", "action", "q_value", "is_optimal"]
+# the path-CSV writer caches a cell per distinct wealth, up to this many (~2 MiB)
+WEALTH_CELLS_CAP = 1 << 14
 # Every CSV is what csv.writer writes (QUOTE_MINIMAL, \r\n line ends): cells
 # joined by commas, numbers through _num, a cell quoted only when it holds a
 # comma (only belief ids do), and no cell holds a quote or a line break.
@@ -134,9 +136,9 @@ def _csv_line(cells: Sequence[str]) -> str:
 def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
     """A `sim.run` path consumer writing each path's rows of the path CSV. A row after its
     path_id is a `t,` cell built once per t, a head (move,action,size,reward) built once per
-    action and move from `action.stake * tick`, and a `wealth\\r\\n` cell cached per wealth."""
+    stake (which identifies the action) and move, and a `wealth\\r\\n` cell cached per wealth."""
     fh.write(_csv_line(PATH_CSV_COLUMNS))
-    heads: dict[int, tuple] = {}  # id(action) -> (up head, down head, action, which holds the id)
+    heads: dict[int, tuple[str, str]] = {}  # action.stake -> (up head, down head)
     tcells: list[str] = []
     wcells: dict[float, str] = {}
 
@@ -144,12 +146,12 @@ def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
         tcells.extend(f"{t}," for t in range(len(tcells), len(path.wealths)))
         rows, down = [], Move.DOWN
         for tcell, move, action, wealth in zip(tcells, path.moves, path.actions, path.wealths):
-            head = heads.get(id(action))
+            head = heads.get(action.stake)
             if head is None:
                 cells = f"{action.direction.value},{action.size}"
                 up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
                 down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
-                head = heads[id(action)] = (up_head, down_head, action)
+                head = heads[action.stake] = (up_head, down_head)
             wcell = wcells.get(wealth)
             if wcell is None:
                 wcell = f"{_num(wealth)}\r\n"

@@ -7,7 +7,7 @@ offending line number. A dumped config reparses to an identical RunConfig.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .actions import Action, Move
 from .beliefs import Belief, BetaBernoulli, Mirror, Static
@@ -88,7 +88,8 @@ _KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; errors carry the 1-based line number."""
+    """Parse config text; errors carry the 1-based line number. A rejected value names the
+    last-set key whose default would be accepted, and its line; if none would be, neither."""
     cfg = RunConfig()
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,11 +116,22 @@ def parse_config(text: str) -> RunConfig:
         if key == "sim.paths" and cfg.sim_paths < 1:
             raise ConfigurationError(f"line {lineno}: sim.paths must be >= 1, got {cfg.sim_paths}")
     try:
-        cfg.market()
-        cfg.problem()
-    except ValidationError as exc:
+        _check(cfg)
+    except (ConfigurationError, ValidationError) as exc:
+        for key, lineno in reversed(seen.items()):
+            attr = _KEYS[key][0]
+            try:
+                _check(replace(cfg, **{attr: getattr(RunConfig, attr)}))
+            except (ConfigurationError, ValidationError):
+                continue
+            raise ConfigurationError(f"line {lineno}: {key}: {exc}") from exc
         raise ConfigurationError(str(exc)) from exc
     return cfg
+
+
+def _check(cfg: RunConfig) -> None:
+    cfg.market()
+    cfg.problem()
 
 
 def load_config(path: str) -> RunConfig:

@@ -43,12 +43,11 @@ class BellmanOptimal(Policy):
         lattice, actions = table.lattice, table.problem.action_set
         # one int object per state, shared by every list that names it
         states = list(range(lattice.start[-1]))
-        self.up, self.down, self.act = [], [], []
+        self.up, self.down = [], []
         for t in range(lattice.T):
             self.up += map(states.__getitem__, lattice.up(t).tolist())
             self.down += map(states.__getitem__, lattice.down(t).tolist())
-            best = table.best[lattice.start[t] : lattice.start[t + 1]]
-            self.act += map(actions.__getitem__, best.tolist())
+        self.act = list(map(actions.__getitem__, table.best.tolist()))
 
 
 class CutLoss(Policy):

@@ -14,7 +14,6 @@ belief lattice numbers it), so no `Belief` is built while simulating.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -30,11 +29,9 @@ from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # bound on n_paths x horizon: a run holds one path's steps, 17 B per path (terminal
-# wealth, drawdown and ruin arrays; ~85 MB at T=1) and the capped wealth cells below;
-# simulate's path CSV takes ~34 B per step, ~0.17 GB on disk at the bound
+# wealth, drawdown and ruin arrays; ~85 MB at T=1) and the path-CSV writer's capped
+# wealth cells (cli.WEALTH_CELLS_CAP); its CSV takes ~34 B per step, ~0.17 GB at the bound
 MAX_PATH_STEPS = 5_000_000
-# the path-CSV writer caches a cell per distinct wealth, up to this many (~2 MiB)
-WEALTH_CELLS_CAP = 1 << 14
 OnPath = Callable[[int, "WealthPath"], None]  # on_path(i, path), as path i is replayed
 
 
@@ -193,19 +190,13 @@ def run(
             f"policy {policy.name} was built for another problem: {'; '.join(differ)}"
         )
     terminals, drawdowns, ruined = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    collecting = gc.isenabled()
-    gc.disable()  # nothing a path makes refers back to another: refcounting frees it all
-    try:
-        for i in range(n):
-            moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
-            path = replay(policy, model, moves)
-            terminals[i], drawdowns[i] = path.terminal_wealth, path.max_drawdown
-            ruined[i] = path.ruined
-            if on_path is not None:
-                on_path(i, path)
-    finally:
-        if collecting:
-            gc.enable()
+    for i in range(n):
+        moves = sample_moves(model.p_up, problem.horizon, derive_path_seed(seed, i))
+        path = replay(policy, model, moves)
+        terminals[i], drawdowns[i] = path.terminal_wealth, path.max_drawdown
+        ruined[i] = path.ruined
+        if on_path is not None:
+            on_path(i, path)
     # overflow is caught by _check_finite and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         stats = summarize(terminals, drawdowns, ruined)

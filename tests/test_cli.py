@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from otl import cli, verify as verify_mod
-from otl.actions import Move
+from otl.actions import NEUTRAL, Action, Direction, Move
 from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
@@ -86,6 +87,39 @@ class TestConfigParsing:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "market.u = 10\nmarket.d = 5\n",
+                "line 2: market.d: MarketModel must satisfy u > 0 > d, got (10.0, 5.0)",
+            ),
+            (
+                "belief.kind = beta\nbelief.alpha = -1\n",
+                "line 2: belief.alpha: BetaBernoulli alpha must be > 0, got -1.0",
+            ),
+            (
+                "belief.kind = gaussian\n",
+                "line 1: belief.kind: belief.kind must be one of ('static', 'mirror', 'beta'),"
+                " got 'gaussian'",
+            ),
+            # no single key at its default clears the error: no key or line is named
+            ("market.u = -1\nmarket.d = 5\n", "MarketModel must satisfy u > 0 > d, got (-1.0, 5.0)"),
+        ],
+    )
+    def test_rejected_value_names_its_key_and_line(self, text, message, tmp_path, capsys):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unused_value_is_not_checked(self):
+        # the static belief reads q0, the beta belief set after it does not
+        cfg = parse_config("belief.q0 = 5\nbelief.kind = beta\n")
+        assert (cfg.belief_q0, cfg.belief_kind) == (5.0, "beta")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -382,6 +416,14 @@ class TestSimulateCommand:
         # stays flat, so a zero wealth repeats
         with tempfile.TemporaryDirectory() as tmp:
             _check_path_csv(tmp, u, -u if d is None else d, wealth, p, q0, horizon, paths, seed)
+
+    def test_stake_identifies_an_action(self):
+        # the path writer caches each row head per action.stake
+        actions = [Action(d, size) for d in Direction for size in range(1, 65)]
+        for a, b in itertools.product(actions, repeat=2):
+            assert (a.stake == b.stake) is (a == b), (a, b)
+        assert {a.stake for a in actions if a.direction is Direction.NEUTRAL} == {0}
+        assert Action(Direction.NEUTRAL, 64) == NEUTRAL
 
     def test_path_csv_past_the_wealth_cache_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "WEALTH_CELLS_CAP", 2)

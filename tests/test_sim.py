@@ -215,7 +215,7 @@ class TestRun:
             replay(pol, market(0.5), [Move.UP] * 3)
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_paused_for_the_path_loop_only(self, enabled):
+    def test_run_leaves_the_collector_alone(self, enabled):
         seen = []
 
         class Watcher(Policy):
@@ -236,7 +236,7 @@ class TestRun:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert seen == [False] * 5
+        assert seen == [enabled] * 5
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValidationError):
