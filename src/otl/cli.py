@@ -287,8 +287,7 @@ def _cmd_verify(args) -> int:
         overall = all(rep.overall for rep in reports)
         if json_out:
             doc = {"reports": [rep.to_dict() for rep in reports], "overall": overall}
-            json.dump(doc, json_out, indent=2)
-            json_out.write("\n")
+            json_out.write(json.dumps(doc, indent=2) + "\n")
         verdict = "PASS" if overall else "FAIL"
         _echo("".join(f"{rep.render()}\n" for rep in reports) + f"verify: {verdict}\n")
     return EXIT_OK if overall else EXIT_VERIFY_FAIL

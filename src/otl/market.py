@@ -23,7 +23,7 @@ from .errors import ResourceLimitError, ValidationError
 MAX_ENUM_HORIZON = 20
 
 
-def _check_horizon(horizon: int) -> int:
+def check_horizon(horizon: int) -> int:
     """`horizon` as an int, if it is one in [0, MAX_ENUM_HORIZON]."""
     horizon = check_int(horizon, "horizon")
     if horizon < 0:
@@ -103,7 +103,7 @@ def enumerate_paths(
     Each probability is the left-to-right product of its moves' weights,
     taken one move at a time across all paths at once.
     """
-    horizon = _check_horizon(horizon)
+    horizon = check_horizon(horizon)
     p = model.p_up
     probs = np.ones(1)
     for _ in range(horizon):
@@ -116,7 +116,7 @@ def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
     node is the expectation, under the model's p_up, of the next step's
     dividend plus its value. Levels move by the model's ticks.
     """
-    horizon = _check_horizon(horizon)
+    horizon = check_horizon(horizon)
     p = model.p_up
 
     # Level after k up moves out of t total is determined by (t, k).
@@ -134,15 +134,19 @@ def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
 
 
 def expected_dividend_by_enumeration(model: MarketModel, div: DividendSpec, horizon: int) -> float:
-    """Oracle for price_process: sum the dividend stream over every
-    enumerated path, probability-weighted."""
+    """Oracle for price_process: a depth-first walk over the move tree
+    sums each prefix's dividends once (2^(T+1) - 2 steps) and weights each
+    leaf by its path's probability, taken from enumerate_paths in order."""
+    leaves = enumerate_paths(model, horizon)
     total = 0.0
-    for moves, probability in enumerate_paths(model, horizon):
-        level = div.initial_level
-        acc = 0.0
-        for t, m in enumerate(moves, start=1):
-            level += model.u if m is Move.UP else model.d
-            acc += div.per_step_dividend(t, level)
-        acc += div.terminal_payoff(level)
-        total += probability * acc
+    # Down is pushed first, so Up pops first: itertools.product order
+    stack = [(0, div.initial_level, 0.0)]
+    while stack:
+        t, level, acc = stack.pop()
+        if t == horizon:
+            total += next(leaves)[1] * (acc + div.terminal_payoff(level))
+            continue
+        for tick in (model.d, model.u):
+            child = level + tick
+            stack.append((t + 1, child, acc + div.per_step_dividend(t + 1, child)))
     return total

@@ -11,7 +11,6 @@ never raised.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .beliefs import Belief, BetaBernoulli, Mirror, Static
 from .market import (
     DividendSpec,
     MarketModel,
+    check_horizon,
     expected_dividend_by_enumeration,
     price_process,
 )
@@ -34,6 +34,11 @@ TICKS = (10.0, -10.0)
 Q_GRID = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 HORIZONS = (1, 2, 3, 4, 5)
 TICK_SCALES = (1.0, 10.0, 100.0)
+BELIEF_GRID = (
+    ("Static(0.6)", Static(0.6)),
+    ("Mirror(0.6)", Mirror(0.6, Move.UP)),
+    ("Beta(3,2)", BetaBernoulli(3, 2)),
+)
 BELLMAN_MAX_HORIZON = 8
 PRICE_MAX_HORIZON = 12
 
@@ -82,50 +87,42 @@ def enumeration_q(
     ticks: tuple[float, float],
     action_set: Sequence[Action] = DEFAULT_ACTIONS,
 ) -> float:
-    """Oracle Q-value by brute enumeration of all 2^T move paths.
-
-    Each path carries its own belief trajectory and probability weight; the
-    first step plays `action`, later steps play the myopic argmax. No table,
-    no backward pass, so this shares nothing with the solver. `ticks` is
-    (u, d), finite with u > 0 > d.
+    """Oracle Q-value by brute enumeration of all 2^T move paths: a
+    depth-first walk steps each prefix's belief, probability and payoff
+    once (2^(T+1) - 2 steps; leaves in itertools.product order, Up first).
+    The first step plays `action`, later ones the myopic argmax. No table,
+    no backward pass: this shares nothing with the solver. `ticks` is
+    (u, d), finite with u > 0 > d; `horizon` is in [0, MAX_ENUM_HORIZON].
     """
     u, d = ticks
     check_ticks(u, d, "enumeration_q ticks")
+    horizon = check_horizon(horizon)
     total = 0.0
-    for path in itertools.product((Move.UP, Move.DOWN), repeat=horizon):
-        b = belief
-        prob = 1.0
-        payoff = 0.0
-        for t, move in enumerate(path):
-            q_up = b.predictive()
-            a = action
-            if t:
-                # Moves are exogenous, so the continuation value is shared
-                # by every action and the optimal choice reduces to the
-                # one-step expectation, the stake times that of one long
-                # unit; max keeps the first maximum, the solver's tie-break.
-                unit = q_up * u + (1.0 - q_up) * d
-                a = max(action_set, key=lambda a: a.stake * unit)
-            prob *= q_up if move is Move.UP else (1.0 - q_up)
-            tick = u if move is Move.UP else d
-            payoff += a.stake * tick
-            b = b.update(move)
-        total += prob * payoff
+    # Down is pushed first, so Up pops first
+    stack = [(belief, 0, 1.0, 0.0)]
+    while stack:
+        b, t, prob, payoff = stack.pop()
+        if t == horizon:
+            total += prob * payoff
+            continue
+        q_up = b.predictive()
+        a = action
+        if t:
+            # Moves are exogenous, so the continuation value is shared
+            # by every action and the optimal choice reduces to the
+            # one-step expectation, the stake times that of one long
+            # unit; max keeps the first maximum, the solver's tie-break.
+            unit = q_up * u + (1.0 - q_up) * d
+            a = max(action_set, key=lambda a: a.stake * unit)
+        stack.append((b.update(Move.DOWN), t + 1, prob * (1.0 - q_up), payoff + a.stake * d))
+        stack.append((b.update(Move.UP), t + 1, prob * q_up, payoff + a.stake * u))
     return total
-
-
-def _belief_grid() -> list[tuple[str, Belief]]:
-    return [
-        ("Static(0.6)", Static(0.6)),
-        ("Mirror(0.6)", Mirror(0.6, Move.UP)),
-        ("Beta(3,2)", BetaBernoulli(3, 2)),
-    ]
 
 
 def check_bellman() -> Report:
     """Solver output vs full-tree enumeration for every belief kind."""
     report = Report(suite="bellman")
-    for name, belief in _belief_grid():
+    for name, belief in BELIEF_GRID:
         for T in range(BELLMAN_MAX_HORIZON + 1):
             problem = DecisionProblem(horizon=T, ticks=TICKS, initial_belief=belief)
             table = solve_q(problem)

@@ -92,6 +92,10 @@ class TestConfigParsing:
         "text, message",
         [
             (
+                "market.d = 5\n",
+                "line 1: market.d: MarketModel must satisfy u > 0 > d, got (10.0, 5.0)",
+            ),
+            (
                 "market.u = 10\nmarket.d = 5\n",
                 "line 2: market.d: MarketModel must satisfy u > 0 > d, got (10.0, 5.0)",
             ),
@@ -124,14 +128,6 @@ class TestConfigParsing:
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError, match="line 1"):
             parse_config("market.u 10\n")
-
-    def test_invalid_belief_kind(self):
-        with pytest.raises(ConfigurationError):
-            parse_config("belief.kind = gaussian\n")
-
-    def test_invalid_market(self):
-        with pytest.raises(ConfigurationError):
-            parse_config("market.d = 5\n")
 
     def test_round_trip(self):
         cfg = parse_config(BASE_CONFIG)

@@ -22,7 +22,7 @@ from otl import (
     solve_q,
 )
 from otl import mdp
-from otl.verify import _belief_grid, enumeration_q
+from otl.verify import BELIEF_GRID, enumeration_q
 
 TICKS = (10.0, -10.0)
 
@@ -288,7 +288,7 @@ any_belief = st.one_of(
 
 
 class TestBitIdentityWithScalarSolver:
-    @pytest.mark.parametrize("name,belief", _belief_grid(), ids=lambda x: str(x))
+    @pytest.mark.parametrize("name,belief", BELIEF_GRID, ids=lambda x: str(x))
     @pytest.mark.parametrize("T", range(9))
     def test_check_bellman_grid(self, name, belief, T):
         assert_bit_identical(problem(T, belief))

@@ -1,7 +1,27 @@
+import itertools
+
 import pytest
 
-from otl import LONG, Static, ValidationError
+from otl import (
+    LONG,
+    NEUTRAL,
+    SHORT,
+    Action,
+    BetaBernoulli,
+    Direction,
+    DividendSpec,
+    MarketModel,
+    Mirror,
+    Move,
+    ResourceLimitError,
+    Static,
+    ValidationError,
+    enumerate_paths,
+)
+from otl.market import MAX_ENUM_HORIZON, expected_dividend_by_enumeration
+from otl.mdp import DEFAULT_ACTIONS
 from otl.verify import (
+    TICKS,
     Report,
     check_bellman,
     check_example21,
@@ -10,6 +30,48 @@ from otl.verify import (
     enumeration_q,
     run_all,
 )
+
+def reference_enumeration_q(belief, action, horizon, ticks, action_set=DEFAULT_ACTIONS):
+    """enumeration_q as a per-path replay: each of the 2^T paths steps its
+    own belief, probability and payoff from t = 0, in T * 2^T steps."""
+    u, d = ticks
+    total = 0.0
+    for path in itertools.product((Move.UP, Move.DOWN), repeat=horizon):
+        b = belief
+        prob = 1.0
+        payoff = 0.0
+        for t, move in enumerate(path):
+            q_up = b.predictive()
+            a = action
+            if t:
+                unit = q_up * u + (1.0 - q_up) * d
+                a = max(action_set, key=lambda a: a.stake * unit)
+            prob *= q_up if move is Move.UP else (1.0 - q_up)
+            tick = u if move is Move.UP else d
+            payoff += a.stake * tick
+            b = b.update(move)
+        total += prob * payoff
+    return total
+
+
+def reference_dividend(model, div, horizon):
+    """expected_dividend_by_enumeration as a per-path replay of every
+    enumerated path's levels and dividends."""
+    total = 0.0
+    for moves, probability in enumerate_paths(model, horizon):
+        level = div.initial_level
+        acc = 0.0
+        for t, m in enumerate(moves, start=1):
+            level += model.u if m is Move.UP else model.d
+            acc += div.per_step_dividend(t, level)
+        acc += div.terminal_payoff(level)
+        total += probability * acc
+    return total
+
+
+def same_float(got, want):
+    # repr also tells -0.0 from 0.0
+    return got == want and repr(got) == repr(want)
 
 
 class TestReport:
@@ -83,3 +145,76 @@ class TestCheckers:
         a = check_bellman().to_dict()
         b = check_bellman().to_dict()
         assert a == b
+
+
+SIZED_ACTIONS = (NEUTRAL, LONG, SHORT, *(Action(Direction.LONG, k) for k in (2, 4, 8)))
+COUPON = DividendSpec(
+    per_step_dividend=lambda t, level: 0.02 * level + 0.1 * t,
+    terminal_payoff=lambda level: max(level - 100.0, 0.0) ** 2,
+)
+
+
+class TestOracleWalks:
+    """The depth-first walks against the per-path replays they replaced:
+    the same operands in the same order, so bit-identical results."""
+
+    @pytest.mark.parametrize(
+        "belief",
+        [
+            Static(0.6),
+            Mirror(0.7, Move.UP),
+            Mirror(0.65, Move.DOWN),
+            BetaBernoulli(2.5, 1.25),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("ticks", [TICKS, (1.5, -0.5)])
+    def test_q_walk_matches_per_path_replay(self, belief, ticks):
+        for T in range(9):
+            for action_set in (DEFAULT_ACTIONS, SIZED_ACTIONS):
+                for a in action_set:
+                    got = enumeration_q(belief, a, T, ticks, action_set)
+                    want = reference_enumeration_q(belief, a, T, ticks, action_set)
+                    assert same_float(got, want), (T, str(a), action_set, got, want)
+
+    @pytest.mark.parametrize(
+        "model",
+        [MarketModel(u=2.0, d=-1.0, p_up=0.55), MarketModel(u=1.5, d=-0.5, p_up=0.3)],
+        ids=repr,
+    )
+    def test_dividend_walk_matches_per_path_replay(self, model):
+        for T in range(13):
+            got = expected_dividend_by_enumeration(model, COUPON, T)
+            want = reference_dividend(model, COUPON, T)
+            assert same_float(got, want), (T, got, want)
+
+    @pytest.mark.parametrize("T", range(1, 9))
+    def test_q_walk_steps_each_prefix_once(self, T):
+        updates = []
+
+        class CountingStatic(Static):
+            def update(self, observed):
+                updates.append(observed)
+                return self
+
+        enumeration_q(CountingStatic(0.6), LONG, T, TICKS)
+        assert len(updates) == 2 ** (T + 1) - 2
+
+    @pytest.mark.parametrize("T", range(1, 13))
+    def test_dividend_walk_steps_each_prefix_once(self, T):
+        calls = []
+        div = DividendSpec(
+            per_step_dividend=lambda t, level: calls.append(t) or 0.0,
+            terminal_payoff=lambda level: level,
+        )
+        expected_dividend_by_enumeration(MarketModel(u=1.0, d=-1.0, p_up=0.5), div, T)
+        assert len(calls) == 2 ** (T + 1) - 2
+
+    @pytest.mark.parametrize(
+        "horizon, error",
+        [(-1, ValidationError), (2.5, ValidationError), (MAX_ENUM_HORIZON + 1, ResourceLimitError)],
+    )
+    def test_q_oracle_bounds_its_horizon(self, horizon, error):
+        with pytest.raises(error, match="horizon") as info:
+            enumeration_q(Static(0.6), LONG, horizon, TICKS)
+        assert type(info.value) is error
