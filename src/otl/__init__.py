@@ -3,7 +3,7 @@ Q-value solver over (time, belief) states, a seeded binomial market
 simulator, a suite of trading policies, and mechanical verification of the
 inequalities the framework rests on."""
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Direction, Move
+from .actions import LONG, NEUTRAL, SHORT, Action, Move
 from .beliefs import Belief, BetaBernoulli, Mirror, Static, belief_id
 from .errors import (
     ConfigurationError,
@@ -44,7 +44,6 @@ __all__ = [
     "ConfigurationError",
     "CutLoss",
     "DecisionProblem",
-    "Direction",
     "DividendSpec",
     "LONG",
     "MarketModel",

@@ -20,48 +20,30 @@ class Move(enum.Enum):
         return f"Move.{self.name}"
 
 
-class Direction(enum.Enum):
-    """Side of the position taken for one step."""
-
-    LONG = "long"
-    NEUTRAL = "neutral"
-    SHORT = "short"
-
-    @property
-    def sign(self) -> int:
-        if self is Direction.LONG:
-            return 1
-        if self is Direction.SHORT:
-            return -1
-        return 0
-
-
 @dataclass(frozen=True)
 class Action:
-    """A position direction with an integer stake multiplier.
+    """A position held for one step: `stake` units long if positive, short
+    if negative, flat if 0. Holding it through a tick earns ``stake * tick``.
+    `direction`, `size` and ``str`` are its printed form (`shortx3`)."""
 
-    Neutral is always size 1: size carries no meaning while flat, so it is
-    normalized away to keep Action values canonical (and hashable as keys).
-    ``stake`` is the signed multiplier ``direction.sign * size``: holding the
-    action through a tick earns ``stake * tick``. It is derived, not a field,
-    so it takes no part in equality, hashing or repr.
-    """
-
-    direction: Direction
-    size: int = 1
+    stake: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size", check_int(self.size, "action size"))
-        if self.size < 1:
-            raise ValidationError(f"action size must be >= 1, got {shown(self.size)}")
-        if self.direction is Direction.NEUTRAL and self.size != 1:
-            object.__setattr__(self, "size", 1)
-        object.__setattr__(self, "stake", self.direction.sign * self.size)
+        object.__setattr__(self, "stake", check_int(self.stake, "action stake"))
+        check_finite(self.stake, "action stake")
+
+    @property
+    def direction(self) -> str:
+        return "long" if self.stake > 0 else "short" if self.stake < 0 else "neutral"
+
+    @property
+    def size(self) -> int:
+        return abs(self.stake) or 1
 
     def __str__(self) -> str:
         if self.size == 1:
-            return self.direction.value
-        return f"{self.direction.value}x{self.size}"
+            return self.direction
+        return f"{self.direction}x{self.size}"
 
 
 def shown(value: object) -> object:
@@ -104,6 +86,6 @@ def check_ticks(u: float, d: float, owner: str) -> None:
         raise ValidationError(f"{owner} must satisfy u > 0 > d, got ({u}, {d})")
 
 
-LONG = Action(Direction.LONG)
-NEUTRAL = Action(Direction.NEUTRAL)
-SHORT = Action(Direction.SHORT)
+LONG = Action(1)
+NEUTRAL = Action(0)
+SHORT = Action(-1)

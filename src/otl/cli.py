@@ -135,8 +135,8 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
     """A `sim.run` path consumer writing each path's rows of the path CSV. A row after its
-    path_id is a `t,` cell built once per t, a head (move,action,size,reward) built once per
-    stake (which identifies the action) and move, and a `wealth\\r\\n` cell cached per wealth."""
+    path_id is a `t,` cell built once per t, a head (move,action,size,reward) built once
+    per stake and move, and a `wealth\\r\\n` cell cached per wealth."""
     fh.write(_csv_line(PATH_CSV_COLUMNS))
     heads: dict[int, tuple[str, str]] = {}  # action.stake -> (up head, down head)
     tcells: list[str] = []
@@ -148,7 +148,7 @@ def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
         for tcell, move, action, wealth in zip(tcells, path.moves, path.actions, path.wealths):
             head = heads.get(action.stake)
             if head is None:
-                cells = f"{action.direction.value},{action.size}"
+                cells = f"{action.direction},{action.size}"
                 up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
                 down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
                 head = heads[action.stake] = (up_head, down_head)

@@ -135,18 +135,20 @@ def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
 
 def expected_dividend_by_enumeration(model: MarketModel, div: DividendSpec, horizon: int) -> float:
     """Oracle for price_process: a depth-first walk over the move tree
-    sums each prefix's dividends once (2^(T+1) - 2 steps) and weights each
-    leaf by its path's probability, taken from enumerate_paths in order."""
-    leaves = enumerate_paths(model, horizon)
+    steps each prefix's probability and dividends once (2^(T+1) - 2 steps)
+    and weights each leaf by its path's probability, the left-to-right
+    product of its moves' weights."""
+    horizon = check_horizon(horizon)
+    moves = ((model.d, 1.0 - model.p_up), (model.u, model.p_up))  # (tick, weight)
     total = 0.0
     # Down is pushed first, so Up pops first: itertools.product order
-    stack = [(0, div.initial_level, 0.0)]
+    stack = [(0, div.initial_level, 1.0, 0.0)]
     while stack:
-        t, level, acc = stack.pop()
+        t, level, prob, acc = stack.pop()
         if t == horizon:
-            total += next(leaves)[1] * (acc + div.terminal_payoff(level))
+            total += prob * (acc + div.terminal_payoff(level))
             continue
-        for tick in (model.d, model.u):
+        for tick, weight in moves:
             child = level + tick
-            stack.append((t + 1, child, acc + div.per_step_dividend(t + 1, child)))
+            stack.append((t + 1, child, prob * weight, acc + div.per_step_dividend(t + 1, child)))
     return total

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .actions import LONG, NEUTRAL, Action, Direction
+from .actions import LONG, NEUTRAL, Action
 from .errors import ConfigurationError
 from .mdp import DecisionProblem, QTable, solve_q
 
@@ -69,7 +69,7 @@ class AverageDown(Policy):
     name = "avgdown"
     up = (0,) * 7
     down = (1, 2, 3, 4, 5, 6, 6)
-    act = tuple(Action(Direction.LONG, 2**k) for k in range(7))
+    act = tuple(Action(2**k) for k in range(7))
 
 
 class BuyHold(Policy):

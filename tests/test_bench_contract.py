@@ -99,5 +99,5 @@ def test_verify_price(tmp_path):
     assert counts["verify.cases_failed"] == 0
     assert calls["verify.suite.price"] == 1
     assert calls["market.expected_dividend_by_enumeration"] == 13
-    assert calls["market.enumerate_paths"] == 13
+    assert calls["market.enumerate_paths"] == 0
     assert calls["market.price_process"] == 20

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import errno
 import io
-import itertools
 import json
 import os
 import re
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from otl import cli, verify as verify_mod
-from otl.actions import NEUTRAL, Action, Direction, Move
+from otl.actions import Action, Move
 from otl.beliefs import belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
@@ -139,7 +138,7 @@ class TestConfigParsing:
 
     def test_action_list_parsed(self):
         cfg = parse_config("problem.actions = long,neutral\n")
-        assert [a.direction.value for a in cfg.actions()] == ["long", "neutral"]
+        assert [a.direction for a in cfg.actions()] == ["long", "neutral"]
 
     def test_repeated_key_carries_both_line_numbers(self):
         text = "problem.horizon = 3\nmarket.u = 10\nproblem.horizon = 4\n"
@@ -292,7 +291,7 @@ def _check_path_csv(tmp, u, d, wealth, p, q0, horizon, paths, seed):
             for t, (move, action, wealth_t) in enumerate(zip(moves, path.actions, path.wealths)):
                 tick = u if move is Move.UP else d
                 writer.writerow(
-                    (i, t, move.value, action.direction.value, action.size,
+                    (i, t, move.value, action.direction, action.size,
                      repr(action.stake * tick), repr(wealth_t))
                 )
         with open(out, newline="", encoding="utf-8") as fh:
@@ -413,13 +412,19 @@ class TestSimulateCommand:
         with tempfile.TemporaryDirectory() as tmp:
             _check_path_csv(tmp, u, -u if d is None else d, wealth, p, q0, horizon, paths, seed)
 
-    def test_stake_identifies_an_action(self):
-        # the path writer caches each row head per action.stake
-        actions = [Action(d, size) for d in Direction for size in range(1, 65)]
-        for a, b in itertools.product(actions, repeat=2):
-            assert (a.stake == b.stake) is (a == b), (a, b)
-        assert {a.stake for a in actions if a.direction is Direction.NEUTRAL} == {0}
-        assert Action(Direction.NEUTRAL, 64) == NEUTRAL
+    def test_action_cells_are_its_printed_form(self):
+        # the path CSV's action and size cells, and str(action): the side, then xK for a
+        # size K > 1; neutral has size 1
+        expected = {0: ("neutral", "neutral", 1)}
+        for k in range(1, 65):
+            suffix = f"x{k}" if k > 1 else ""
+            expected[k] = (f"long{suffix}", "long", k)
+            expected[-k] = (f"short{suffix}", "short", k)
+        assert sorted(expected) == list(range(-64, 65))
+        for stake, cells in expected.items():
+            action = Action(stake)
+            assert (str(action), action.direction, action.size) == cells, stake
+        assert str(Action(-3)) == "shortx3"
 
     def test_path_csv_past_the_wealth_cache_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "WEALTH_CELLS_CAP", 2)

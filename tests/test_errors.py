@@ -6,7 +6,6 @@ from otl import (
     Action,
     BetaBernoulli,
     DecisionProblem,
-    Direction,
     DividendSpec,
     MarketModel,
     Mirror,
@@ -39,7 +38,8 @@ CASES = {
     "Mirror": (lambda: Mirror(H), ValidationError),
     "MarketModel-p_up": (lambda: MarketModel(u=1.0, d=-1.0, p_up=H), ValidationError),
     "DecisionProblem-horizon": (lambda: problem(horizon=-H), ValidationError),
-    "Action-size": (lambda: Action(Direction.LONG, -H), ValidationError),
+    "Action-long": (lambda: Action(H), ValidationError),
+    "Action-short": (lambda: Action(-H), ValidationError),
     "SimConfig-n_paths-low": (lambda: SimConfig(problem(), -H, 0), ValidationError),
     "SimConfig-n_paths-high": (lambda: SimConfig(problem(), H, 0), ResourceLimitError),
     "SimConfig-horizon": (lambda: SimConfig(problem(horizon=H), 1, 0), ResourceLimitError),
@@ -72,7 +72,7 @@ def test_small_rejected_values_are_printed():
 @pytest.mark.parametrize(
     "call,field",
     [
-        (lambda: Action(Direction.LONG, 2.5), "action size"),
+        (lambda: Action(2.5), "action stake"),
         (lambda: problem(horizon=2.5), "horizon"),
         (lambda: SimConfig(problem(), 2.5, 0), "n_paths"),
         (lambda: SimConfig(problem(), 1, 2.5), "master_seed"),
@@ -80,7 +80,7 @@ def test_small_rejected_values_are_printed():
         (lambda: price_process(MODEL, DIVIDENDS, 2.5), "horizon"),
     ],
     ids=[
-        "Action-size",
+        "Action-stake",
         "DecisionProblem-horizon",
         "SimConfig-n_paths",
         "SimConfig-master_seed",
@@ -94,7 +94,7 @@ def test_integer_fields_reject_non_integers(call, field):
 
 
 def test_integer_fields_accept_numpy_ints():
-    assert Action(Direction.LONG, np.int64(2)) == Action(Direction.LONG, 2)
+    assert Action(np.int64(2)) == Action(2)
     assert problem(horizon=np.int32(3)).horizon == 3
     assert SimConfig(problem(), np.int64(4), np.uint8(7)).n_paths == 4
 

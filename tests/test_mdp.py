@@ -12,7 +12,6 @@ from otl import (
     Action,
     BetaBernoulli,
     DecisionProblem,
-    Direction,
     Mirror,
     Move,
     ResourceLimitError,
@@ -234,9 +233,8 @@ def scalar_solve_q(problem):
             v_dn = values[(t + 1, b.update(Move.DOWN))]
             best = None
             for a in problem.action_set:
-                sign = a.direction.sign
-                r_up = sign * a.size * u
-                r_dn = sign * a.size * d
+                r_up = a.stake * u
+                r_dn = a.stake * d
                 q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
                 entries[(t, b, a)] = q
                 if best is None or q > best:
@@ -274,9 +272,9 @@ ACTION_POOL = [
     NEUTRAL,
     LONG,
     SHORT,
-    Action(Direction.LONG, 2),
-    Action(Direction.SHORT, 3),
-    Action(Direction.LONG, 4),
+    Action(2),
+    Action(-3),
+    Action(4),
 ]
 
 any_belief = st.one_of(
@@ -347,7 +345,7 @@ class TestTableLayout:
         assert (0, b) in table.values
         assert (2, b, LONG) not in table.entries
         assert table.values.get((0, Static(0.7))) is None
-        assert table.entries.get((0, b, Action(Direction.LONG, 2))) is None
+        assert table.entries.get((0, b, Action(2))) is None
         assert table.values.get((-1, b)) is None
         with pytest.raises(TypeError):
             table.values[(0, b)] = 1.0
@@ -362,6 +360,6 @@ class TestTableLayout:
         with pytest.raises(UnreachableStateError):
             table.optimal_action(-1, b)
         with pytest.raises(UnreachableStateError):
-            table.q(0, b, Action(Direction.SHORT, 2))
+            table.q(0, b, Action(-2))
         assert table.lattice.beliefs(-1) == []
         assert table.lattice.beliefs(3) == []

@@ -8,7 +8,6 @@ from otl import (
     Action,
     ConfigurationError,
     DecisionProblem,
-    Direction,
     MarketModel,
     Mirror,
     Move,
@@ -56,7 +55,7 @@ class TestCutLoss:
 class TestAverageDown:
     def test_doubles_with_the_losing_streak(self):
         pol = make_policy("avgdown", problem())
-        assert pol.decide(after(pol, Move.DOWN, Move.DOWN)) == Action(Direction.LONG, 4)
+        assert pol.decide(after(pol, Move.DOWN, Move.DOWN)) == Action(4)
 
     def test_fresh_position_is_one_unit(self):
         pol = make_policy("avgdown", problem())
@@ -71,7 +70,7 @@ class TestAverageDown:
     def test_never_exits_on_losses(self):
         pol = make_policy("avgdown", problem())
         for k in range(8):
-            assert pol.decide(after(pol, *[Move.DOWN] * k)).direction is Direction.LONG
+            assert pol.decide(after(pol, *[Move.DOWN] * k)).direction == "long"
 
     def test_requires_long_action(self):
         with pytest.raises(ConfigurationError):
@@ -105,7 +104,7 @@ class TestBellmanOptimal:
     [
         ("cutloss", (NEUTRAL, SHORT), "long"),
         ("cutloss", (LONG, SHORT), "neutral"),
-        ("avgdown", (NEUTRAL, SHORT, Action(Direction.LONG, 2)), "long"),
+        ("avgdown", (NEUTRAL, SHORT, Action(2)), "long"),
         ("buyhold", (NEUTRAL, SHORT), "long"),
     ],
     ids=["cutloss-long", "cutloss-neutral", "avgdown-long", "buyhold-long"],

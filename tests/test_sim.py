@@ -14,7 +14,6 @@ from otl import (
     BellmanOptimal,
     BetaBernoulli,
     DecisionProblem,
-    Direction,
     MarketModel,
     Mirror,
     Move,
@@ -65,7 +64,7 @@ def scripted(wealths, initial=1000.0):
     for w in wealths:
         gain = w - before
         moves.append(Move.UP if gain >= 0 else Move.DOWN)
-        acts.append(Action(Direction.LONG, int(abs(gain))) if gain else NEUTRAL)
+        acts.append(Action(int(abs(gain))) if gain else NEUTRAL)
         before = w
 
     class Script(Policy):
@@ -279,7 +278,7 @@ class TestHeuristicRules:
                 stakes.append(stake)
                 stake = min(2 * stake, 64) if move is Move.DOWN else 1
             actions = replay(pol, m, moves).actions
-            assert actions == [Action(Direction.LONG, k) for k in stakes]
+            assert actions == [Action(k) for k in stakes]
 
     def test_cutloss_flat_exactly_after_a_down_move(self):
         T, m = 8, market(0.5)

@@ -8,7 +8,6 @@ from otl import (
     SHORT,
     Action,
     BetaBernoulli,
-    Direction,
     DividendSpec,
     MarketModel,
     Mirror,
@@ -147,7 +146,7 @@ class TestCheckers:
         assert a == b
 
 
-SIZED_ACTIONS = (NEUTRAL, LONG, SHORT, *(Action(Direction.LONG, k) for k in (2, 4, 8)))
+SIZED_ACTIONS = (NEUTRAL, LONG, SHORT, *(Action(k) for k in (2, 4, 8)))
 COUPON = DividendSpec(
     per_step_dividend=lambda t, level: 0.02 * level + 0.1 * t,
     terminal_payoff=lambda level: max(level - 100.0, 0.0) ** 2,
