@@ -20,14 +20,7 @@ from .market import (
     price_process,
 )
 from .mdp import DecisionProblem, QTable, solve_q
-from .policies import (
-    AverageDown,
-    BellmanOptimal,
-    BuyHold,
-    CutLoss,
-    Policy,
-    make_policy,
-)
+from .policies import Policy, bellman, make_policy
 from .sim import ComparisonTable, SimConfig, SimResult, Stats, WealthPath, compare, run, summarize
 from .verify import Report, check_bellman, check_example21, check_no_averaging, check_price
 
@@ -35,14 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "AverageDown",
     "Belief",
-    "BellmanOptimal",
     "BetaBernoulli",
-    "BuyHold",
     "ComparisonTable",
     "ConfigurationError",
-    "CutLoss",
     "DecisionProblem",
     "DividendSpec",
     "LONG",
@@ -64,6 +53,7 @@ __all__ = [
     "ValidationError",
     "WealthPath",
     "belief_id",
+    "bellman",
     "check_bellman",
     "check_example21",
     "check_no_averaging",

@@ -106,13 +106,17 @@ class _Output:
 
 
 @contextlib.contextmanager
-def _outputs(*paths: Optional[str]) -> Iterator[list[Optional[_Output]]]:
+def _outputs(config: Optional[str], *paths: Optional[str]) -> Iterator[list[Optional[_Output]]]:
     """Open each output path (None: no output) before any work, so an unwritable one
     fails at once, and yield their handles; if the command or an output then fails,
-    remove the regular files among them, so a failed run leaves no output file."""
+    remove the regular files among them, so a failed run leaves no output file. No
+    output may be another output or the config file read (None: none)."""
     named = [p for p in paths if p is not None]
-    if len(set(map(os.path.realpath, named))) < len(named):
+    real = list(map(os.path.realpath, named))
+    if len(set(real)) < len(named):
         raise ConfigurationError(f"output paths must differ, got {named}")
+    if config is not None and os.path.realpath(config) in real:
+        raise ConfigurationError(f"output paths must differ from the config {config}, got {named}")
     handles: list[Optional[_Output]] = []
     try:
         for path in paths:
@@ -202,7 +206,7 @@ def _cmd_solve(args) -> int:
     if args.dump_config:
         _echo(dump_config(cfg))
         return EXIT_OK
-    with _outputs(args.out) as (out,):
+    with _outputs(args.config, args.out) as (out,):
         _export_qtable(solve_q(cfg.problem()), out)
     return EXIT_OK
 
@@ -219,8 +223,7 @@ def _export_qtable(table, out: Optional[_Output]) -> None:
     for t in range(table.problem.horizon):
         ids = table.lattice.ids(t)
         layer = slice(start[t], start[t + 1])
-        # the repr of a list of floats is the repr of each one
-        qs = repr(table.qs[layer].ravel().tolist())[1:-1].split(", ")
+        qs = list(map(repr, table.qs[layer].ravel().tolist()))
         best = table.best[layer].tolist()
         lines, csv_lines = [], []
         for i in sorted(range(len(ids)), key=ids.__getitem__):
@@ -254,7 +257,7 @@ def _cmd_compare(args) -> int:
 def _simulate(config: str, names: list[str], paths: Optional[str], stats: Optional[str]) -> int:
     """Run the named policies on common random numbers (`sim.compare`), write the paths CSV
     (simulate's one policy) as it runs and the stats CSV, and print the stats and pairwise CIs."""
-    cfg = load_config(config)
+    cfg = load_config(config, simulate=True)
     if not names:
         raise ConfigurationError("--policies must name at least one policy")
     kinds = [_parse_policy_name(n) for n in names]
@@ -262,7 +265,7 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
         if kind in kinds[:i]:
             raise ConfigurationError(f"--policies names {kind} more than once")
     sim_cfg = cfg.sim_config()
-    with _outputs(paths, stats) as (paths_out, stats_out):
+    with _outputs(config, paths, stats) as (paths_out, stats_out):
         policies = [make_policy(kind, sim_cfg.problem) for kind in kinds]
         model = cfg.market()
         on_path = None if paths_out is None else _path_writer(paths_out, model)
@@ -282,7 +285,7 @@ def _simulate(config: str, names: list[str], paths: Optional[str], stats: Option
 
 
 def _cmd_verify(args) -> int:
-    with _outputs(args.json_out) as (json_out,):
+    with _outputs(None, args.json_out) as (json_out,):
         reports = verify_mod.run_all() if args.suite == "all" else [verify_mod.SUITES[args.suite]()]
         overall = all(rep.overall for rep in reports)
         if json_out:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .actions import Action, Move
 from .beliefs import Belief, BetaBernoulli, Mirror, Static
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .market import MarketModel
 from .mdp import DEFAULT_ACTIONS, DecisionProblem
 from .sim import SimConfig
@@ -87,9 +87,11 @@ _KEYS = {
 }
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, simulate: bool = False) -> RunConfig:
     """Parse config text; errors carry the 1-based line number. A rejected value names the
-    last-set key whose default would be accepted, and its line; if none would be, neither."""
+    last-set key whose default would be accepted, and its line; if none would be, neither.
+    With `simulate`, the simulation's settings (`sim_config`) are checked too; its path-step
+    bound raises ResourceLimitError and is never blamed on a key."""
     cfg = RunConfig()
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,31 +118,34 @@ def parse_config(text: str) -> RunConfig:
         if key == "sim.paths" and cfg.sim_paths < 1:
             raise ConfigurationError(f"line {lineno}: sim.paths must be >= 1, got {cfg.sim_paths}")
     try:
-        _check(cfg)
+        _check(cfg, simulate)
     except (ConfigurationError, ValidationError) as exc:
         for key, lineno in reversed(seen.items()):
             attr = _KEYS[key][0]
             try:
-                _check(replace(cfg, **{attr: getattr(RunConfig, attr)}))
-            except (ConfigurationError, ValidationError):
+                _check(replace(cfg, **{attr: getattr(RunConfig, attr)}), simulate)
+            except (ConfigurationError, ValidationError, ResourceLimitError):
                 continue
             raise ConfigurationError(f"line {lineno}: {key}: {exc}") from exc
         raise ConfigurationError(str(exc)) from exc
     return cfg
 
 
-def _check(cfg: RunConfig) -> None:
+def _check(cfg: RunConfig, simulate: bool) -> None:
     cfg.market()
-    cfg.problem()
+    if simulate:
+        cfg.sim_config()
+    else:
+        cfg.problem()
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, simulate: bool = False) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, simulate)
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -119,6 +119,33 @@ class TestConfigParsing:
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_simulation_settings_name_their_key_and_line(self, tmp_path, capsys):
+        # solve reads no simulation setting, so a zero horizon is accepted there
+        text = "market.u = 10\nproblem.horizon = 0\n"
+        message = "line 2: problem.horizon: horizon must be >= 1, got 0"
+        assert parse_config(text).problem_horizon == 0
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(text, simulate=True)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["simulate", "--config", str(path), "--policy", "cutloss", "--out", str(out)],
+            ["compare", "--config", str(path), "--policies", "cutloss", "--out", str(out)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_path_step_bound_is_blamed_on_no_key(self):
+        # the horizon at its default would trip the path-step bound; that is
+        # no fix, so no key is named, and the bound's error stays in the loop
+        text = "problem.horizon = 0\nsim.paths = 1000001\n"
+        with pytest.raises(ConfigurationError, match="^horizon must be >= 1, got 0$"):
+            parse_config(text, simulate=True)
+
     def test_unused_value_is_not_checked(self):
         # the static belief reads q0, the beta belief set after it does not
         cfg = parse_config("belief.q0 = 5\nbelief.kind = beta\n")
@@ -732,6 +759,37 @@ class TestUnwritableOutputs:
                 "--out", str(out), "--stats-out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "output paths must differ" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigIsNoOutput:
+    """An output path naming the config file read is a configuration error
+    (exit 2), found before any output is opened: the config is left as it was."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--config", "{config}", "--out", "{same}"],
+            ["simulate", "--config", "{config}", "--policy", "cutloss", "--out", "{same}"],
+            ["simulate", "--config", "{config}", "--policy", "cutloss",
+             "--out", "{out}", "--stats-out", "{same}"],
+            ["compare", "--config", "{config}", "--policies", "cutloss", "--out", "{same}"],
+        ],
+        ids=["solve", "simulate-out", "simulate-stats-out", "compare"],
+    )
+    def test_config_left_unchanged(self, config_file, tmp_path, capsys, argv):
+        # the same file under another spelling of its path
+        same = os.path.join(str(tmp_path), ".", os.path.basename(config_file))
+        out = tmp_path / "out.csv"
+        argv = [a.format(config=config_file, same=same, out=out) for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        named = [a for a in argv if a in (str(out), same)]
+        message = f"output paths must differ from the config {config_file}, got {named}"
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        with open(config_file, encoding="utf-8") as fh:
+            assert fh.read() == BASE_CONFIG
         assert not out.exists()
 
 

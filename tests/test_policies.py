@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from otl import (
     enumerate_paths,
     make_policy,
 )
+from otl.policies import POLICY_KINDS
 from otl.sim import replay
 
 TICKS = (10.0, -10.0)
@@ -97,6 +100,14 @@ class TestBellmanOptimal:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             make_policy("martingale", problem())
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_policy_is_frozen(kind):
+    # make_policy hands every caller the same heuristic value, so none may change it
+    pol = make_policy(kind, problem())
+    with pytest.raises(FrozenInstanceError):
+        pol.act = (SHORT,)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from otl import (
     NEUTRAL,
     SHORT,
     Action,
-    BellmanOptimal,
     BetaBernoulli,
     DecisionProblem,
     MarketModel,
@@ -20,6 +20,7 @@ from otl import (
     Policy,
     Static,
     ValidationError,
+    bellman,
     compare,
     enumerate_paths,
     make_policy,
@@ -67,13 +68,10 @@ def scripted(wealths, initial=1000.0):
         acts.append(Action(int(abs(gain))) if gain else NEUTRAL)
         before = w
 
-    class Script(Policy):
-        name = "script"
-        up = down = tuple(range(1, len(wealths) + 1))
-        act = tuple(acts)
-
+    states = tuple(range(1, len(wealths) + 1))
+    script = Policy("script", up=states, down=states, act=tuple(acts))
     model = MarketModel(u=1.0, d=-1.0, p_up=0.5, initial_wealth=initial)
-    path = replay(Script(), model, moves)
+    path = replay(script, model, moves)
     assert path.wealths == wealths
     return path
 
@@ -217,21 +215,23 @@ class TestRun:
     def test_run_leaves_the_collector_alone(self, enabled):
         seen = []
 
-        class Watcher(Policy):
-            name = "watcher"
-            up = down = (0,)
+        class Watched:
+            """Plays LONG in its one state, noting at each decision whether the
+            collector is on; the fifth decision stops the run."""
 
-            def decide(self, state):
+            def __getitem__(self, state):
                 seen.append(gc.isenabled())
                 if len(seen) == 5:
                     raise RuntimeError("stop")
                 return LONG
 
+        watcher = Policy("watcher", up=(0,), down=(0,), act=Watched())
+
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             with pytest.raises(RuntimeError, match="stop"):
-                run(Watcher(), market(0.5), cfg(10, 2))
+                run(watcher, market(0.5), cfg(10, 2))
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
@@ -289,16 +289,15 @@ class TestHeuristicRules:
             assert actions == [NEUTRAL if flat else LONG for flat in after_down]
 
 
-class _StateRecorder(BellmanOptimal):
-    """Plays bellman and records the state it is in at each t."""
+class _StateRecorder:
+    """An `act` list that plays bellman's and records the state read at each t."""
 
-    def __init__(self, table):
-        super().__init__(table)
-        self.states = []
+    def __init__(self, act):
+        self.act, self.states = act, []
 
-    def decide(self, state):
+    def __getitem__(self, state):
         self.states.append(state)
-        return super().decide(state)
+        return self.act[state]
 
 
 class TestRowWalk:
@@ -321,12 +320,13 @@ class TestRowWalk:
         m = market(0.5)
         table = solve_q(problem(T, belief0))
         assert type(table.lattice) is lattice_kind
+        pol = bellman(table)
         for moves, _ in enumerate_paths(m, T):
-            pol = _StateRecorder(table)
-            actions = replay(pol, m, moves).actions
+            recorder = _StateRecorder(pol.act)
+            actions = replay(replace(pol, act=recorder), m, moves).actions
             belief = belief0
             for t, move in enumerate(moves):
-                assert pol.states[t] == table.lattice.state(t, belief)
+                assert recorder.states[t] == table.lattice.state(t, belief)
                 assert actions[t] == table.optimal_action(t, belief)
                 belief = belief.update(move)
 
