@@ -47,7 +47,10 @@ class Action:
 
 
 def shown(value: object) -> object:
-    """value for an error message; an int beyond float64 is named, as str() may refuse it."""
+    """value for an error message: a str is quoted, and an int beyond float64
+    is named, as str() may refuse it."""
+    if isinstance(value, str):
+        return repr(value)
     if isinstance(value, int):
         try:
             float(value)

@@ -10,10 +10,10 @@ Three belief kinds are shipped:
 
 Beliefs are immutable values; ``update`` returns a new belief.
 
-``Belief.lattice`` gives the beliefs reachable at each t of a horizon, as
-the solver and the Q-table export read them: ``BetaBernoulli`` with float
-counts builds it in closed form, every other belief by the forward closure
-over ``update``.
+``lattice_of`` gives the beliefs reachable at each t of a horizon, of at
+most ``MAX_STAGE_STATES`` states: an exact ``BetaBernoulli`` with float
+counts builds it in closed form, every other belief (a subclass too) by the
+forward closure over its own ``update``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import numpy as np
 from .actions import Move, check_finite, shown
 from .errors import ResourceLimitError, ValidationError
 
+# Upper bound on the stage states of a belief lattice (`lattice_of`), over all its layers
+MAX_STAGE_STATES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Belief:
@@ -41,12 +44,6 @@ class Belief:
         """Condition on one observed move; returns a new belief."""
         raise NotImplementedError
 
-    def lattice(self, T: int, max_states: int) -> "Lattice":
-        """The beliefs reachable from this one at t = 0..T. This is the
-        generic forward closure over `update`; `BetaBernoulli` overrides it
-        with a closed form that builds the same lattice."""
-        return _closure(self, T, max_states)
-
 
 @dataclass(frozen=True)
 class Static(Belief):
@@ -55,8 +52,12 @@ class Static(Belief):
     q_up: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q_up < 1.0:
-            raise ValidationError(f"Static q_up must be in (0,1), got {shown(self.q_up)}")
+        try:
+            if 0.0 < self.q_up < 1.0:
+                return
+        except TypeError:  # not a number
+            pass
+        raise ValidationError(f"Static q_up must be in (0,1), got {shown(self.q_up)}")
 
     def predictive(self) -> float:
         return self.q_up
@@ -78,7 +79,11 @@ class Mirror(Belief):
     favored: Move = Move.UP
 
     def __post_init__(self) -> None:
-        if not 0.5 <= self.confidence < 1.0:
+        try:
+            valid = 0.5 <= self.confidence < 1.0
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
             raise ValidationError(
                 f"Mirror confidence must be in [0.5,1), got {shown(self.confidence)}"
             )
@@ -108,7 +113,7 @@ class BetaBernoulli(Belief):
         try:
             if self.alpha > 0 and self.beta > 0 and math.isfinite(self.alpha + self.beta):
                 return
-        except OverflowError:  # an int sum beyond float64
+        except (OverflowError, TypeError):  # an int sum beyond float64, or not a number
             pass
         for name, count in (("alpha", self.alpha), ("beta", self.beta)):
             check_finite(count, f"BetaBernoulli {name}")
@@ -126,21 +131,6 @@ class BetaBernoulli(Belief):
             return BetaBernoulli(self.alpha + 1, self.beta)
         return BetaBernoulli(self.alpha, self.beta + 1)
 
-    def lattice(self, T: int, max_states: int) -> "Lattice":
-        """Closed form: row k of layer t is Beta(alpha_(t-k), beta_k), where
-        alpha_j and beta_k are the prior counts plus 1 added j and k times
-        in turn, as `update` adds it. The generic closure is used instead
-        when a count is not a float, or when one stops growing (at 2**53,
-        `a + 1 == a`) and the closure would merge rows."""
-        priors = (self.alpha, self.beta)
-        if not all(type(c) is float for c in priors):
-            return super().lattice(T, max_states)
-        _check_states(T + 1, T, max_states)  # every layer has at least one row
-        counts = [np.add.accumulate(np.concatenate(([c], np.ones(T)))) for c in priors]
-        if not all((seq[1:] > seq[:-1]).all() for seq in counts):
-            return super().lattice(T, max_states)
-        return _BetaCounts(counts, T, max_states)
-
 
 def _beta_id(alpha: float, beta: float) -> str:
     return f"beta({alpha!r},{beta!r})"
@@ -157,10 +147,10 @@ def belief_id(belief: Belief) -> str:
     raise ValidationError(f"unknown belief kind: {belief!r}")
 
 
-def _check_states(n: int, T: int, max_states: int) -> None:
-    if n > max_states:
+def _check_states(n: int, T: int) -> None:
+    if n > MAX_STAGE_STATES:
         raise ResourceLimitError(
-            f"belief lattice exceeds {max_states} stage states at horizon {shown(T)}"
+            f"belief lattice exceeds {MAX_STAGE_STATES} stage states at horizon {shown(T)}"
         )
 
 
@@ -179,7 +169,7 @@ class Lattice:
     * ``beliefs(t)``, ``ids(t)``: the beliefs in row order and their
       `belief_id`s, [] for t outside 0..T.
 
-    A lattice of more than `max_states` states raises `ResourceLimitError` before it is built.
+    `lattice_of` builds one, of at most MAX_STAGE_STATES states.
     """
 
     def __init__(self, T: int, start: Sequence[int]):
@@ -214,9 +204,22 @@ class _Layers(Lattice):
         return list(self._states[t]) if 0 <= t <= self.T else []
 
 
-def _closure(b0: Belief, T: int, max_states: int) -> Lattice:
+def lattice_of(b0: Belief, T: int) -> Lattice:
+    """The beliefs reachable from b0 at t = 0..T, of at most MAX_STAGE_STATES
+    states: the closed form for an exact `BetaBernoulli` whose float counts
+    keep growing by 1, else the forward closure over b0's own `update`."""
+    _check_states(T + 1, T)  # every layer has at least one row
+    priors = (b0.alpha, b0.beta) if type(b0) is BetaBernoulli else ()
+    if priors and all(type(c) is float for c in priors):
+        # the counts after 0..T updates, adding 1 in turn as `update` does
+        counts = [np.add.accumulate(np.concatenate(([c], np.ones(T)))) for c in priors]
+        if all((seq[1:] > seq[:-1]).all() for seq in counts):
+            return _BetaCounts(counts, T)
+    return _closure(b0, T)
+
+
+def _closure(b0: Belief, T: int) -> Lattice:
     """The forward closure of b0 over `Belief.update`."""
-    _check_states(T + 1, T, max_states)  # every layer has at least one row
     states: list[dict[Belief, int]] = [{b0: 0}]
     ups: list[int] = []
     dns: list[int] = []
@@ -228,7 +231,7 @@ def _closure(b0: Belief, T: int, max_states: int) -> Lattice:
             dns.append(nxt.setdefault(b.update(Move.DOWN), n_states + len(nxt)))
         states.append(nxt)
         n_states += len(nxt)
-        _check_states(n_states, T, max_states)
+        _check_states(n_states, T)
     return _Layers(states, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
 
 
@@ -237,10 +240,9 @@ class _BetaCounts(Lattice):
     row k and its down child row k + 1 of layer t + 1. `counts` are the
     float64 alpha and beta sequences, strictly increasing."""
 
-    def __init__(self, counts: list[np.ndarray], T: int, max_states: int):
-        _check_states((T + 1) * (T + 2) // 2, T, max_states)
+    def __init__(self, counts: list[np.ndarray], T: int):
+        _check_states((T + 1) * (T + 2) // 2, T)
         self._alphas, self._betas = counts
-        self._alpha_at = {a: j for j, a in enumerate(self._alphas.tolist())}
         self._beta_at = {b: k for k, b in enumerate(self._betas.tolist())}
         super().__init__(T, [t * (t + 1) // 2 for t in range(T + 2)])
 
@@ -258,9 +260,8 @@ class _BetaCounts(Lattice):
     def state(self, t: int, belief: Belief) -> int | None:
         if type(belief) is not BetaBernoulli or not 0 <= t <= self.T:
             return None
-        j = self._alpha_at.get(belief.alpha)
-        k = self._beta_at.get(belief.beta)
-        return self.start[t] + k if j is not None and k is not None and j + k == t else None
+        k = self._beta_at.get(belief.beta, t + 1)  # row k holds alphas[t - k]; float(): exact ==
+        return None if k > t or float(self._alphas[t - k]) != belief.alpha else self.start[t] + k
 
     def _counts(self, t: int) -> tuple[list[float], list[float]]:
         """The alpha and beta counts of layer t's rows (none outside 0..T)."""

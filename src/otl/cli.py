@@ -105,6 +105,16 @@ class _Output:
         self._call(self._fh.close)
 
 
+def _file_key(path: str) -> object:
+    """What names one file: (st_dev, st_ino) if path exists, so a hard or
+    symbolic link matches its target, else the real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 @contextlib.contextmanager
 def _outputs(config: Optional[str], *paths: Optional[str]) -> Iterator[list[Optional[_Output]]]:
     """Open each output path (None: no output) before any work, so an unwritable one
@@ -112,10 +122,10 @@ def _outputs(config: Optional[str], *paths: Optional[str]) -> Iterator[list[Opti
     remove the regular files among them, so a failed run leaves no output file. No
     output may be another output or the config file read (None: none)."""
     named = [p for p in paths if p is not None]
-    real = list(map(os.path.realpath, named))
-    if len(set(real)) < len(named):
+    keys = list(map(_file_key, named))
+    if len(set(keys)) < len(named):
         raise ConfigurationError(f"output paths must differ, got {named}")
-    if config is not None and os.path.realpath(config) in real:
+    if config is not None and _file_key(config) in keys:
         raise ConfigurationError(f"output paths must differ from the config {config}, got {named}")
     handles: list[Optional[_Output]] = []
     try:

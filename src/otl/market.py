@@ -48,8 +48,12 @@ class MarketModel:
     def __post_init__(self) -> None:
         check_ticks(self.u, self.d, "MarketModel")
         check_finite(self.initial_wealth, "MarketModel initial_wealth")
-        if not 0.0 <= self.p_up <= 1.0:
-            raise ValidationError(f"p_up must be in [0,1], got {shown(self.p_up)}")
+        try:
+            if 0.0 <= self.p_up <= 1.0:
+                return
+        except TypeError:  # not a number
+            pass
+        raise ValidationError(f"p_up must be in [0,1], got {shown(self.p_up)}")
 
     @property
     def ticks(self) -> tuple[float, float]:

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import LONG, NEUTRAL, SHORT, Action, check_int, check_ticks, shown
-from .beliefs import Belief, Lattice
+from .beliefs import Belief, Lattice, lattice_of
 from .errors import UnreachableStateError, ValidationError
 
 DEFAULT_ACTIONS: tuple[Action, ...] = (NEUTRAL, LONG, SHORT)
-
-# Upper bound on distinct (t, belief) stage states solve_q will enumerate.
-MAX_STAGE_STATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -157,17 +154,17 @@ class QTable:
 def solve_q(problem: DecisionProblem) -> QTable:
     """Solve the subjective Bellman recursion by backward induction.
 
-    Reachable beliefs at each t form the lattice of the initial belief
-    (`Belief.lattice`), of at most MAX_STAGE_STATES states; the belief
-    transition is independent of the action (the market is exogenous), so
-    the continuation value after a move is shared by every action. The
-    lattice gives each state's up and down child states, and the backward
-    pass is then one broadcast over (states x actions) per layer, in the
-    float expression order of the scalar recursion, so every Q-value is
-    bit-identical to it.
+    Reachable beliefs at each t, as the initial belief's own `update`
+    reaches them, form its lattice (`beliefs.lattice_of`), of at most
+    `beliefs.MAX_STAGE_STATES` states; the belief transition is independent
+    of the action (the market is exogenous), so the continuation value
+    after a move is shared by every action. The lattice gives each state's
+    up and down child states, and the backward pass is then one broadcast
+    over (states x actions) per layer, in the float expression order of the
+    scalar recursion, so every Q-value is bit-identical to it.
     """
     T = problem.horizon
-    lattice = problem.initial_belief.lattice(T, MAX_STAGE_STATES)
+    lattice = lattice_of(problem.initial_belief, T)
     start = lattice.start
     u, d = problem.ticks
     actions = problem.action_set

@@ -12,7 +12,8 @@ from otl import (
     ValidationError,
     belief_id,
 )
-from otl.beliefs import Belief
+from otl import beliefs
+from otl.beliefs import _closure, lattice_of
 
 
 class TestPredictive:
@@ -133,12 +134,12 @@ class TestInvariants:
 
 
 def assert_same_lattice(b0, T):
-    """b0's own lattice equals the generic forward closure (the base-class
-    `Belief.lattice`), row for row and bit for bit. Only float beta counts
-    have a closed form; for every other belief both are the closure, and
-    this checks its ids and rows."""
-    closed = b0.lattice(T, 10**6)
-    oracle = Belief.lattice(b0, T, 10**6)
+    """b0's lattice (`lattice_of`) equals the generic forward closure, row
+    for row and bit for bit. Only float beta counts have a closed form; for
+    every other belief both are the closure, and this checks its ids and
+    rows."""
+    closed = lattice_of(b0, T)
+    oracle = _closure(b0, T)
     assert list(closed.start) == list(oracle.start)
     assert closed.start[0] == 0
     for t in range(T + 1):
@@ -198,21 +199,21 @@ class TestLattice:
 
     @pytest.mark.parametrize("b0", FALLBACK, ids=repr)
     def test_saturated_or_non_float_counts_use_the_closure(self, b0):
-        closure = type(Belief.lattice(b0, 10, 10**6))
-        assert type(b0.lattice(10, 10**6)) is closure
-        assert type(BetaBernoulli(1.0, 1.0).lattice(10, 10**6)) is not closure
+        closure = type(_closure(b0, 10))
+        assert type(lattice_of(b0, 10)) is closure
+        assert type(lattice_of(BetaBernoulli(1.0, 1.0), 10)) is not closure
 
     @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
     def test_rows_of_absent_beliefs_are_none(self, b0):
         T = 6
-        lattice = b0.lattice(T, 10**6)
+        lattice = lattice_of(b0, T)
         assert lattice.state(-1, b0) is None
         assert lattice.state(T + 1, b0) is None
         for other in (Static(0.45), Mirror(0.55, Move.UP), BetaBernoulli(0.7, 0.9)):
             for t in range(T + 1):
                 assert lattice.state(t, other) is None
         # layers outside 0..T are empty, in the closed form and the closure
-        for built in (lattice, Belief.lattice(b0, T, 10**6)):
+        for built in (lattice, _closure(b0, T)):
             for t in (-T - 2, -1, T + 1, T + 2):
                 assert built.beliefs(t) == [] and built.ids(t) == []
                 assert built.state(t, b0) is None
@@ -220,11 +221,20 @@ class TestLattice:
     @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
     def test_beta_rows_reached_at_another_t_are_none(self, b0):
         T = 6
-        lattice = b0.lattice(T, 10**6)
+        lattice = lattice_of(b0, T)
         for t in range(T + 1):
             for s in range(T + 1):
                 for b in lattice.beliefs(s):
                     assert (lattice.state(t, b) is None) == (s != t)
+
+    def test_beta_rows_compare_counts_exactly(self):
+        lattice = lattice_of(BetaBernoulli(2.0**53 - 2, 1.0), 2)  # alpha reaches 2**53 at t=2
+        assert type(lattice) is not type(_closure(BetaBernoulli(1.0, 1.0), 2))
+        # an int count names the row of the float it equals, and only that
+        assert lattice.state(2, BetaBernoulli(2**53, 1.0)) == 3
+        assert lattice.state(2, BetaBernoulli(2**53 + 1, 1.0)) is None
+        assert lattice.state(1, BetaBernoulli(2**53 - 1, 1)) == 1
+        assert lattice.state(2, BetaBernoulli(2**53 - 2, 3)) == 5
 
     @pytest.mark.parametrize(
         "b0,T,max_states",
@@ -236,8 +246,9 @@ class TestLattice:
         ],
         ids=repr,
     )
-    def test_size_bound(self, b0, T, max_states):
+    def test_size_bound(self, b0, T, max_states, monkeypatch):
         # T is the longest horizon whose lattice fits in max_states
-        assert b0.lattice(T, max_states).start[-1] <= max_states
+        monkeypatch.setattr(beliefs, "MAX_STAGE_STATES", max_states)
+        assert lattice_of(b0, T).start[-1] <= max_states
         with pytest.raises(ResourceLimitError, match=f"exceeds {max_states} stage states"):
-            b0.lattice(T + 1, max_states)
+            lattice_of(b0, T + 1)

@@ -792,6 +792,28 @@ class TestConfigIsNoOutput:
             assert fh.read() == BASE_CONFIG
         assert not out.exists()
 
+    def test_hard_link_of_config_rejected(self, config_file, tmp_path, capsys):
+        link = tmp_path / "link.cfg"
+        os.link(config_file, link)
+        argv = ["compare", "--config", config_file, "--policies", "cutloss", "--out", str(link)]
+        assert main(argv) == EXIT_CONFIG
+        message = f"output paths must differ from the config {config_file}, got {[str(link)]}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with open(config_file, encoding="utf-8") as fh:
+            assert fh.read() == BASE_CONFIG
+
+    def test_hard_linked_outputs_rejected(self, config_file, tmp_path, capsys):
+        out, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        out.write_text("kept\n")
+        os.link(out, link)
+        argv = ["simulate", "--config", config_file, "--policy", "cutloss",
+                "--out", str(out), "--stats-out", str(link)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: output paths must differ, got {[str(out), str(link)]}\n"
+        )
+        assert out.read_text() == "kept\n"
+
 
 class TestPathStepBound:
     """sim.paths x horizon past MAX_PATH_STEPS is a resource limit (exit 3),

@@ -70,6 +70,22 @@ def test_small_rejected_values_are_printed():
 
 
 @pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Static("a"), "Static q_up must be in (0,1), got 'a'"),
+        (lambda: Mirror(None), "Mirror confidence must be in [0.5,1), got None"),
+        (lambda: BetaBernoulli(1.0, "a"), "BetaBernoulli beta must be finite, got 'a'"),
+        (lambda: MarketModel(u=1.0, d=-1.0, p_up=[0.5]), "p_up must be in [0,1], got [0.5]"),
+    ],
+    ids=["Static", "Mirror", "BetaBernoulli", "MarketModel-p_up"],
+)
+def test_non_numbers_are_validation_errors_naming_the_field(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "call,field",
     [
         (lambda: Action(2.5), "action stake"),

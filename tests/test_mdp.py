@@ -20,8 +20,9 @@ from otl import (
     ValidationError,
     solve_q,
 )
-from otl import mdp
-from otl.verify import BELIEF_GRID, enumeration_q
+from otl import beliefs
+from otl.beliefs import _Layers
+from otl.verify import BELIEF_GRID, ORACLE_TOL, enumeration_q
 
 TICKS = (10.0, -10.0)
 
@@ -137,7 +138,7 @@ class TestValidation:
             solve_q(problem(3, Static(0.6), ticks=(1.7e308, -1.7e308)))
 
     def test_state_budget_enforced(self, monkeypatch):
-        monkeypatch.setattr(mdp, "MAX_STAGE_STATES", 50)
+        monkeypatch.setattr(beliefs, "MAX_STAGE_STATES", 50)
         with pytest.raises(ResourceLimitError, match="exceeds 50 stage states"):
             solve_q(problem(100, BetaBernoulli(1, 1)))
 
@@ -161,6 +162,15 @@ class TestValidation:
 BELIEFS = [Static(0.6), Static(0.35), Mirror(0.7, Move.UP), BetaBernoulli(3, 2)]
 
 
+class _Heavy(BetaBernoulli):
+    """A beta belief whose `update` counts each move twice."""
+
+    def update(self, observed):
+        if observed is Move.UP:
+            return _Heavy(self.alpha + 2, self.beta)
+        return _Heavy(self.alpha, self.beta + 2)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("belief", BELIEFS, ids=str)
     @pytest.mark.parametrize("T", range(7))
@@ -172,6 +182,17 @@ class TestInvariants:
                 continue
             oracle = enumeration_q(belief, a, T, TICKS, prob.action_set)
             assert table.q(0, belief, a) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("T", range(1, 7))
+    def test_beta_subclass_solves_over_its_own_update(self, T):
+        # float counts, yet the +1 closed form is not this belief's lattice
+        b0 = _Heavy(3.0, 2.0)
+        prob = problem(T, b0)
+        table = solve_q(prob)
+        assert type(table.lattice) is _Layers
+        for a in prob.action_set:
+            oracle = enumeration_q(b0, a, T, TICKS, prob.action_set)
+            assert table.q(0, b0, a) == pytest.approx(oracle, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("belief", BELIEFS, ids=str)
     def test_bellman_consistency(self, belief):
