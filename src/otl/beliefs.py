@@ -11,9 +11,9 @@ Three belief kinds are shipped:
 Beliefs are immutable values; ``update`` returns a new belief.
 
 ``lattice_of`` gives the beliefs reachable at each t of a horizon, of at
-most ``MAX_STAGE_STATES`` states: an exact ``BetaBernoulli`` with float
-counts builds it in closed form, every other belief (a subclass too) by the
-forward closure over its own ``update``.
+most ``MAX_STAGE_STATES`` states: an exact ``Static``, ``Mirror`` or
+``BetaBernoulli`` with float counts builds it in closed form, every other
+belief (a subclass too) by the forward closure over its own ``update``.
 """
 
 from __future__ import annotations
@@ -169,7 +169,11 @@ class Lattice:
     * ``beliefs(t)``, ``ids(t)``: the beliefs in row order and their
       `belief_id`s, [] for t outside 0..T.
 
-    `lattice_of` builds one, of at most MAX_STAGE_STATES states.
+    ``children(t)`` gives predictive, up and down as Python lists, for the
+    solver's pass in Python floats. `lattice_of` builds one, of at most
+    MAX_STAGE_STATES states: the closed forms `_LastMove` (Static, Mirror;
+    one or two rows per layer) and `_BetaCounts` (t + 1 rows), or the
+    closure `_Layers`.
     """
 
     def __init__(self, T: int, start: Sequence[int]):
@@ -178,6 +182,10 @@ class Lattice:
 
     def ids(self, t: int) -> list[str]:
         return list(map(belief_id, self.beliefs(t)))
+
+    def children(self, t: int) -> tuple[list[float], list[int], list[int]]:
+        """``predictive(t)``, ``up(t)`` and ``down(t)`` as Python lists (t < T)."""
+        return self.predictive(t).tolist(), self.up(t).tolist(), self.down(t).tolist()
 
 
 class _Layers(Lattice):
@@ -206,9 +214,13 @@ class _Layers(Lattice):
 
 def lattice_of(b0: Belief, T: int) -> Lattice:
     """The beliefs reachable from b0 at t = 0..T, of at most MAX_STAGE_STATES
-    states: the closed form for an exact `BetaBernoulli` whose float counts
-    keep growing by 1, else the forward closure over b0's own `update`."""
+    states: a closed form for an exact `Static` or `Mirror` (one or two rows
+    per layer) and for an exact `BetaBernoulli` whose float counts keep
+    growing by 1, else the forward closure over b0's own `update`; a
+    subclass may update otherwise, so it always gets the closure."""
     _check_states(T + 1, T)  # every layer has at least one row
+    if type(b0) is Static or type(b0) is Mirror:
+        return _LastMove(b0, T)
     priors = (b0.alpha, b0.beta) if type(b0) is BetaBernoulli else ()
     if priors and all(type(c) is float for c in priors):
         # the counts after 0..T updates, adding 1 in turn as `update` does
@@ -233,6 +245,44 @@ def _closure(b0: Belief, T: int) -> Lattice:
         n_states += len(nxt)
         _check_states(n_states, T)
     return _Layers(states, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
+
+
+class _LastMove(Lattice):
+    """A belief whose update depends only on the observed move (`Static`,
+    `Mirror`): layer 0 is b0 and every later layer the same rows, the
+    beliefs after an Up and after a Down ([b0] for Static, [favoring up,
+    favoring down] for Mirror), so each row's up child is row 0 and its down
+    child the last row of the next layer."""
+
+    def __init__(self, b0: Belief, T: int):
+        rows = dict.fromkeys((b0.update(Move.UP), b0.update(Move.DOWN)))
+        k = len(rows)
+        _check_states(1 + T * k, T)
+        self._rows = ({b0: 0}, {b: r for r, b in enumerate(rows)})
+        self._predictive = [b0.predictive()], [b.predictive() for b in rows]
+        super().__init__(T, [0, *range(1, T * k + 2, k)])
+
+    def children(self, t: int) -> tuple[list[float], list[int], list[int]]:
+        n = len(self._rows[t > 0])
+        return list(self._predictive[t > 0]), [self.start[t + 1]] * n, [self.start[t + 2] - 1] * n
+
+    def predictive(self, t: int) -> np.ndarray:
+        return np.array(self._predictive[t > 0])
+
+    def up(self, t: int) -> np.ndarray:
+        return np.array(self.children(t)[1], dtype=np.intp)
+
+    def down(self, t: int) -> np.ndarray:
+        return np.array(self.children(t)[2], dtype=np.intp)
+
+    def state(self, t: int, belief: Belief) -> int | None:
+        if not 0 <= t <= self.T:
+            return None
+        r = self._rows[t > 0].get(belief)
+        return None if r is None else self.start[t] + r
+
+    def beliefs(self, t: int) -> list[Belief]:
+        return list(self._rows[t > 0]) if 0 <= t <= self.T else []
 
 
 class _BetaCounts(Lattice):

@@ -8,6 +8,8 @@ Wealth is tracked by the simulator purely for reporting.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -18,6 +20,10 @@ from .beliefs import Belief, Lattice, lattice_of
 from .errors import UnreachableStateError, ValidationError
 
 DEFAULT_ACTIONS: tuple[Action, ...] = (NEUTRAL, LONG, SHORT)
+
+# solve_q runs its backward pass in Python floats when no lattice layer has
+# more rows than this, the measured crossover with the numpy broadcast
+SCALAR_MAX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -159,35 +165,70 @@ def solve_q(problem: DecisionProblem) -> QTable:
     `beliefs.MAX_STAGE_STATES` states; the belief transition is independent
     of the action (the market is exogenous), so the continuation value
     after a move is shared by every action. The lattice gives each state's
-    up and down child states, and the backward pass is then one broadcast
-    over (states x actions) per layer, in the float expression order of the
-    scalar recursion, so every Q-value is bit-identical to it.
+    up and down child states. The backward pass runs in Python floats, row
+    by row, when no layer has more than SCALAR_MAX_ROWS rows, and otherwise
+    as one numpy broadcast over (states x actions) per layer; both keep the
+    float expression order of the scalar recursion and the first maximum,
+    so every Q-value and argmax is bit-identical to it.
     """
     T = problem.horizon
     lattice = lattice_of(problem.initial_belief, T)
     start = lattice.start
     u, d = problem.ticks
-    actions = problem.action_set
-    r_up = np.array([a.stake * u for a in actions])
-    r_dn = np.array([a.stake * d for a in actions])
-    qs = np.empty((start[T], len(actions)))
+    r_up = [a.stake * u for a in problem.action_set]
+    r_dn = [a.stake * d for a in problem.action_set]
+    widest = max(map(operator.sub, start[1:], start))
+    backward = _scalar_pass if widest <= SCALAR_MAX_ROWS else _numpy_pass
+    qs, best = backward(lattice, r_up, r_dn)
+    # an overflow is caught here, as a non-finite Q, and reported as an
+    # error at the latest t that has one, where the recursion first met it
+    if not np.isfinite(qs).all():
+        s = np.flatnonzero(~np.isfinite(qs).all(axis=1))[-1]
+        t = bisect.bisect_right(start, s) - 1
+        raise ValidationError(
+            f"Q-values overflow at t={t}: ticks {problem.ticks} are too large for horizon {T}"
+        )
+    return QTable(problem=problem, lattice=lattice, qs=qs, best=best)
+
+
+def _scalar_pass(lattice: Lattice, r_up: list, r_dn: list) -> tuple[np.ndarray, np.ndarray]:
+    """The backward pass in Python floats, one state at a time: on layers of
+    a few rows it costs less than numpy's fixed cost per broadcast.
+    `max(row)` keeps the first maximum, as a strict `>` scan does."""
+    T, start = lattice.T, lattice.start
+    n = len(r_up)
+    rewards = list(zip(r_up, r_dn))
+    v = [0.0] * start[T + 1]  # V of every state; the layer at T stays 0
+    flat = [0.0] * (start[T] * n)
+    best = [0] * start[T]
+    for t in range(T - 1, -1, -1):
+        s = start[t]
+        for q_up, up, dn in zip(*lattice.children(t)):
+            v_up, v_dn, q_dn = v[up], v[dn], 1.0 - q_up
+            row = [q_up * (ru + v_up) + q_dn * (rd + v_dn) for ru, rd in rewards]
+            v[s] = top = max(row)
+            best[s] = row.index(top)
+            flat[s * n : s * n + n] = row
+            s += 1
+    return np.array(flat).reshape(-1, n), np.array(best, dtype=np.intp)
+
+
+def _numpy_pass(lattice: Lattice, r_up: list, r_dn: list) -> tuple[np.ndarray, np.ndarray]:
+    """The backward pass as one broadcast over (states x actions) per layer."""
+    T, start = lattice.T, lattice.start
+    r_up, r_dn = np.array(r_up), np.array(r_dn)
+    qs = np.empty((start[T], len(r_up)))
     best = np.empty(start[T], dtype=np.intp)
     v = np.zeros(start[T + 1])  # V of every state; the layer at T stays 0
-    # overflow is caught below, as a non-finite Q, and reported as an error
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_q checks qs
         for t in range(T - 1, -1, -1):
             layer = slice(start[t], start[t + 1])
             q_up = lattice.predictive(t)[:, None]
             v_up = v[lattice.up(t)][:, None]
             v_dn = v[lattice.down(t)][:, None]
             qs[layer] = q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
-            if not np.isfinite(q).all():
-                raise ValidationError(
-                    f"Q-values overflow at t={t}: ticks {problem.ticks} are too large"
-                    f" for horizon {T}"
-                )
             best[layer] = arg = q.argmax(axis=1)
             # Q at the first maximum, not q.max(): the same tie-break as a
             # strict `>` scan, and it keeps the sign of a zero exactly
             v[layer] = q[np.arange(len(arg)), arg]
-    return QTable(problem=problem, lattice=lattice, qs=qs, best=best)
+    return qs, best

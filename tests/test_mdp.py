@@ -20,7 +20,7 @@ from otl import (
     ValidationError,
     solve_q,
 )
-from otl import beliefs
+from otl import beliefs, mdp
 from otl.beliefs import _Layers
 from otl.verify import BELIEF_GRID, ORACLE_TOL, enumeration_q
 
@@ -171,6 +171,20 @@ class _Heavy(BetaBernoulli):
         return _Heavy(self.alpha, self.beta + 2)
 
 
+class _Drifting(Static):
+    """A static belief whose `update` moves q_up a step toward the move."""
+
+    def update(self, observed):
+        return _Drifting(self.q_up + (0.05 if observed is Move.UP else -0.05))
+
+
+class _Stubborn(Mirror):
+    """A mirror belief whose `update` never changes its favored direction."""
+
+    def update(self, observed):
+        return self
+
+
 class TestInvariants:
     @pytest.mark.parametrize("belief", BELIEFS, ids=str)
     @pytest.mark.parametrize("T", range(7))
@@ -187,6 +201,17 @@ class TestInvariants:
     def test_beta_subclass_solves_over_its_own_update(self, T):
         # float counts, yet the +1 closed form is not this belief's lattice
         b0 = _Heavy(3.0, 2.0)
+        prob = problem(T, b0)
+        table = solve_q(prob)
+        assert type(table.lattice) is _Layers
+        for a in prob.action_set:
+            oracle = enumeration_q(b0, a, T, TICKS, prob.action_set)
+            assert table.q(0, b0, a) == pytest.approx(oracle, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("b0", [_Drifting(0.6), _Stubborn(0.7, Move.UP)], ids=repr)
+    @pytest.mark.parametrize("T", range(1, 7))
+    def test_static_or_mirror_subclass_solves_over_its_own_update(self, b0, T):
+        # the closed form of Static or Mirror is not this belief's lattice
         prob = problem(T, b0)
         table = solve_q(prob)
         assert type(table.lattice) is _Layers
@@ -273,20 +298,34 @@ def scalar_optimal_action(problem, entries, t, b):
     return best
 
 
-def assert_bit_identical(prob):
+# SCALAR_MAX_ROWS values that force solve_q's numpy pass (every layer has
+# a row) and its scalar pass (no layer has more rows than the lattice bound)
+PASSES = {"numpy": 0, "scalar": beliefs.MAX_STAGE_STATES}
+
+
+def solve_with(prob, max_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "SCALAR_MAX_ROWS", max_rows)
+        return solve_q(prob)
+
+
+def assert_bit_identical(prob, passes=PASSES.values()):
+    """solve_q matches the scalar oracle bit for bit, run with each
+    SCALAR_MAX_ROWS in `passes`: by default once per backward pass."""
     entries, values = scalar_solve_q(prob)
-    table = solve_q(prob)
-    assert list(table.values) == list(values)
-    assert list(table.entries) == list(entries)
-    for (t, b), v in values.items():
-        assert repr(table.value(t, b)) == repr(v)
-        assert repr(table.values[(t, b)]) == repr(v)
-    for (t, b, a), q in entries.items():
-        assert repr(table.q(t, b, a)) == repr(q)
-        assert repr(table.entries[(t, b, a)]) == repr(q)
-    for t in range(prob.horizon):
-        for b in table.lattice.beliefs(t):
-            assert table.optimal_action(t, b) == scalar_optimal_action(prob, entries, t, b)
+    for max_rows in passes:
+        table = solve_with(prob, max_rows)
+        assert list(table.values) == list(values)
+        assert list(table.entries) == list(entries)
+        for (t, b), v in values.items():
+            assert repr(table.value(t, b)) == repr(v)
+            assert repr(table.values[(t, b)]) == repr(v)
+        for (t, b, a), q in entries.items():
+            assert repr(table.q(t, b, a)) == repr(q)
+            assert repr(table.entries[(t, b, a)]) == repr(q)
+        for t in range(prob.horizon):
+            for b in table.lattice.beliefs(t):
+                assert table.optimal_action(t, b) == scalar_optimal_action(prob, entries, t, b)
 
 
 ACTION_POOL = [
@@ -324,6 +363,40 @@ class TestBitIdentityWithScalarSolver:
     @settings(max_examples=150, deadline=None)
     def test_hypothesis_sweep(self, belief, T, actions, ticks):
         assert_bit_identical(problem(T, belief, ticks=ticks, action_set=tuple(actions)))
+
+    @pytest.mark.parametrize("extra,backward", [(0, "_scalar_pass"), (1, "_numpy_pass")])
+    def test_widest_layer_picks_the_pass(self, extra, backward, monkeypatch):
+        # Beta(1.0, 1.0) at horizon T has T + 1 rows in its widest layer
+        T = mdp.SCALAR_MAX_ROWS - 1 + extra
+        ran = []
+        real = getattr(mdp, backward)
+        monkeypatch.setattr(mdp, backward, lambda *args: ran.append(backward) or real(*args))
+        assert_bit_identical(problem(T, BetaBernoulli(1.0, 1.0)), [mdp.SCALAR_MAX_ROWS])
+        assert ran == [backward]
+
+    @pytest.mark.parametrize("max_rows", list(PASSES.values()), ids=list(PASSES))
+    def test_all_ties_go_to_neutral(self, max_rows):
+        # Static(0.5) at ticks +-10: every action's Q is 0.0 at every state
+        prob = problem(6, Static(0.5))
+        assert_bit_identical(prob, [max_rows])
+        table = solve_with(prob, max_rows)
+        assert table.best.tolist() == [0] * 6
+        assert [x.hex() for x in table.qs.ravel().tolist()] == [(0.0).hex()] * 18
+        assert table.optimal_action(0, Static(0.5)) == NEUTRAL
+
+    @pytest.mark.parametrize(
+        "belief,t", [(Static(0.9), 7), (Mirror(0.9), 7), (BetaBernoulli(9.0, 1.0), 10)], ids=str
+    )
+    def test_overflow_message_is_the_same_in_both_passes(self, belief, t):
+        # V grows by up to 0.8e307 a step and first overflows at t, far
+        # below the horizon, where the recursion meets it
+        prob = problem(30, belief, ticks=(1e307, -1e307))
+        for max_rows in PASSES.values():
+            with pytest.raises(ValidationError) as err:
+                solve_with(prob, max_rows)
+            assert str(err.value) == (
+                f"Q-values overflow at t={t}: ticks (1e+307, -1e+307) are too large for horizon 30"
+            )
 
 
 class TestTableLayout:

@@ -29,7 +29,7 @@ from otl import (
     summarize,
 )
 from otl import sim
-from otl.beliefs import _BetaCounts, _Layers
+from otl.beliefs import _BetaCounts, _LastMove, _Layers
 from otl.errors import ResourceLimitError
 from otl.policies import POLICY_KINDS
 from otl.sim import MAX_PATH_STEPS, SimConfig, WealthPath, replay
@@ -308,8 +308,8 @@ class TestRowWalk:
     @pytest.mark.parametrize(
         "belief0, lattice_kind",
         [
-            (Static(0.6), _Layers),
-            (Mirror(0.6, Move.UP), _Layers),
+            (Static(0.6), _LastMove),  # closed forms: one row per layer,
+            (Mirror(0.6, Move.UP), _LastMove),  # and two after t = 0
             (BetaBernoulli(3, 2), _Layers),  # int counts: the closure
             (BetaBernoulli(3.0, 2.0), _BetaCounts),  # float counts: the closed form
         ],
