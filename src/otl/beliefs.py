@@ -160,32 +160,43 @@ class Lattice:
     state ``start[t] + r``, and there are ``start[T + 1]`` states in all. A
     layer lists its beliefs in forward-closure order: from each row in turn,
     its up child and then its down child take the next free row of layer
-    t + 1 the first time they are reached. Subclasses give:
+    t + 1 the first time they are reached. Each kind gives ``layer(t)``
+    (t < T): float64 ``q_up``, each row's up-probability, and intp ``up``,
+    ``down``, the state of each row's up and down child; ``children(t)`` is
+    the same as Python lists, for the solver's pass in Python floats.
 
-    * ``predictive(t)``: float64, each row's up-probability;
-    * ``up(t)``, ``down(t)``: intp, the state of each row's up and down child (t < T);
-    * ``state(t, belief)``: the belief's state, or None if it is not in
-      layer t (another kind, counts never reached, or t outside 0..T);
-    * ``beliefs(t)``, ``ids(t)``: the beliefs in row order and their
-      `belief_id`s, [] for t outside 0..T.
-
-    ``children(t)`` gives predictive, up and down as Python lists, for the
-    solver's pass in Python floats. `lattice_of` builds one, of at most
-    MAX_STAGE_STATES states: the closed forms `_LastMove` (Static, Mirror;
-    one or two rows per layer) and `_BetaCounts` (t + 1 rows), or the
-    closure `_Layers`.
+    ``state(t, belief)`` is the belief's state, or None if it is not in
+    layer t (another kind, counts never reached, or t outside 0..T);
+    ``beliefs(t)`` and ``ids(t)`` are the beliefs in row order and their
+    `belief_id`s, [] for t outside 0..T. A kind answers them for t in 0..T
+    in ``_state``, ``_beliefs`` and, if faster than `belief_id`, ``_ids``.
+    `lattice_of` builds one, of at most MAX_STAGE_STATES states: the closed
+    forms `_LastMove` (Static, Mirror; one or two rows per layer) and
+    `_BetaCounts` (t + 1 rows), or the closure `_Layers`.
     """
 
     def __init__(self, T: int, start: Sequence[int]):
         self.T = T
         self.start = start
 
+    def state(self, t: int, belief: Belief) -> int | None:
+        return self._state(t, belief) if self._has(t) else None
+
+    def beliefs(self, t: int) -> list[Belief]:
+        return self._beliefs(t) if self._has(t) else []
+
     def ids(self, t: int) -> list[str]:
-        return list(map(belief_id, self.beliefs(t)))
+        return self._ids(t) if self._has(t) else []
+
+    def _has(self, t: int) -> bool:
+        return 0 <= t <= self.T
+
+    def _ids(self, t: int) -> list[str]:
+        return list(map(belief_id, self._beliefs(t)))
 
     def children(self, t: int) -> tuple[list[float], list[int], list[int]]:
-        """``predictive(t)``, ``up(t)`` and ``down(t)`` as Python lists (t < T)."""
-        return self.predictive(t).tolist(), self.up(t).tolist(), self.down(t).tolist()
+        q_up, up, down = self.layer(t)
+        return q_up.tolist(), up.tolist(), down.tolist()
 
 
 class _Layers(Lattice):
@@ -196,20 +207,15 @@ class _Layers(Lattice):
         self._states, self._up, self._down = states, up, down
         super().__init__(len(states) - 1, [*itertools.accumulate(map(len, states), initial=0)])
 
-    def predictive(self, t: int) -> np.ndarray:
-        return np.array([b.predictive() for b in self._states[t]])
+    def layer(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = slice(self.start[t], self.start[t + 1])
+        return np.array([b.predictive() for b in self._states[t]]), self._up[rows], self._down[rows]
 
-    def up(self, t: int) -> np.ndarray:
-        return self._up[self.start[t] : self.start[t + 1]]
+    def _state(self, t: int, belief: Belief) -> int | None:
+        return self._states[t].get(belief)
 
-    def down(self, t: int) -> np.ndarray:
-        return self._down[self.start[t] : self.start[t + 1]]
-
-    def state(self, t: int, belief: Belief) -> int | None:
-        return self._states[t].get(belief) if 0 <= t <= self.T else None
-
-    def beliefs(self, t: int) -> list[Belief]:
-        return list(self._states[t]) if 0 <= t <= self.T else []
+    def _beliefs(self, t: int) -> list[Belief]:
+        return list(self._states[t])
 
 
 def lattice_of(b0: Belief, T: int) -> Lattice:
@@ -266,23 +272,16 @@ class _LastMove(Lattice):
         n = len(self._rows[t > 0])
         return list(self._predictive[t > 0]), [self.start[t + 1]] * n, [self.start[t + 2] - 1] * n
 
-    def predictive(self, t: int) -> np.ndarray:
-        return np.array(self._predictive[t > 0])
+    def layer(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        q_up, up, down = self.children(t)
+        return np.array(q_up), np.array(up, dtype=np.intp), np.array(down, dtype=np.intp)
 
-    def up(self, t: int) -> np.ndarray:
-        return np.array(self.children(t)[1], dtype=np.intp)
-
-    def down(self, t: int) -> np.ndarray:
-        return np.array(self.children(t)[2], dtype=np.intp)
-
-    def state(self, t: int, belief: Belief) -> int | None:
-        if not 0 <= t <= self.T:
-            return None
+    def _state(self, t: int, belief: Belief) -> int | None:
         r = self._rows[t > 0].get(belief)
         return None if r is None else self.start[t] + r
 
-    def beliefs(self, t: int) -> list[Belief]:
-        return list(self._rows[t > 0]) if 0 <= t <= self.T else []
+    def _beliefs(self, t: int) -> list[Belief]:
+        return list(self._rows[t > 0])
 
 
 class _BetaCounts(Lattice):
@@ -296,31 +295,23 @@ class _BetaCounts(Lattice):
         self._beta_at = {b: k for k, b in enumerate(self._betas.tolist())}
         super().__init__(T, [t * (t + 1) // 2 for t in range(T + 2)])
 
-    def predictive(self, t: int) -> np.ndarray:
-        a = self._alphas[t::-1]
-        b = self._betas[: t + 1]
-        return a / (a + b)
+    def layer(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b = self._alphas[t::-1], self._betas[: t + 1]
+        nxt = np.arange(self.start[t + 1], self.start[t + 2], dtype=np.intp)
+        return a / (a + b), nxt[:-1], nxt[1:]
 
-    def up(self, t: int) -> np.ndarray:
-        return np.arange(self.start[t + 1], self.start[t + 2] - 1, dtype=np.intp)
-
-    def down(self, t: int) -> np.ndarray:
-        return np.arange(self.start[t + 1] + 1, self.start[t + 2], dtype=np.intp)
-
-    def state(self, t: int, belief: Belief) -> int | None:
-        if type(belief) is not BetaBernoulli or not 0 <= t <= self.T:
+    def _state(self, t: int, belief: Belief) -> int | None:
+        if type(belief) is not BetaBernoulli:
             return None
         k = self._beta_at.get(belief.beta, t + 1)  # row k holds alphas[t - k]; float(): exact ==
         return None if k > t or float(self._alphas[t - k]) != belief.alpha else self.start[t] + k
 
     def _counts(self, t: int) -> tuple[list[float], list[float]]:
-        """The alpha and beta counts of layer t's rows (none outside 0..T)."""
-        if not 0 <= t <= self.T:
-            return [], []
+        """The alpha and beta counts of layer t's rows."""
         return self._alphas[t::-1].tolist(), self._betas[: t + 1].tolist()
 
-    def beliefs(self, t: int) -> list[Belief]:
+    def _beliefs(self, t: int) -> list[Belief]:
         return list(map(BetaBernoulli, *self._counts(t)))
 
-    def ids(self, t: int) -> list[str]:
+    def _ids(self, t: int) -> list[str]:
         return list(map(_beta_id, *self._counts(t)))

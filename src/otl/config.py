@@ -1,8 +1,9 @@
 """Flat `key = value` run configuration.
 
-The format is deliberately minimal: UTF-8 text, one assignment per line,
-`#` starts a comment, unknown and repeated keys are rejected with the
-offending line number. A dumped config reparses to an identical RunConfig.
+The format is deliberately minimal: UTF-8 text (a leading byte-order mark
+is skipped), one assignment per line, `#` starts a comment, unknown and
+repeated keys are rejected with the offending line number. A dumped config
+reparses to an identical RunConfig.
 """
 
 from __future__ import annotations
@@ -141,10 +142,17 @@ def _check(cfg: RunConfig, simulate: bool) -> None:
 
 def load_config(path: str, simulate: bool = False) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; the byte is on its last line
+        lineno = len((exc.object[: exc.start].decode() + "?").splitlines())
+        bad = exc.object[exc.start]
+        raise ConfigurationError(
+            f"cannot read config {path}: line {lineno}: byte 0x{bad:02x} is not UTF-8"
+        ) from None
     return parse_config(text, simulate)
 
 

@@ -223,9 +223,8 @@ def _numpy_pass(lattice: Lattice, r_up: list, r_dn: list) -> tuple[np.ndarray, n
     with np.errstate(over="ignore", invalid="ignore"):  # solve_q checks qs
         for t in range(T - 1, -1, -1):
             layer = slice(start[t], start[t + 1])
-            q_up = lattice.predictive(t)[:, None]
-            v_up = v[lattice.up(t)][:, None]
-            v_dn = v[lattice.down(t)][:, None]
+            q_up, up, down = lattice.layer(t)
+            q_up, v_up, v_dn = q_up[:, None], v[up][:, None], v[down][:, None]
             qs[layer] = q = q_up * (r_up + v_up) + (1.0 - q_up) * (r_dn + v_dn)
             best[layer] = arg = q.argmax(axis=1)
             # Q at the first maximum, not q.max(): the same tie-break as a

@@ -41,9 +41,9 @@ def bellman(table: QTable) -> Policy:
     # one int object per state, shared by every list that names it
     states = list(range(lattice.start[-1]))
     up, down = [], []
-    for t in range(lattice.T):
-        up += map(states.__getitem__, lattice.up(t).tolist())
-        down += map(states.__getitem__, lattice.down(t).tolist())
+    for _, ups, downs in map(lattice.layer, range(lattice.T)):
+        up += map(states.__getitem__, ups.tolist())
+        down += map(states.__getitem__, downs.tolist())
     act = list(map(actions.__getitem__, table.best.tolist()))
     return Policy("bellman", up, down, act, table.problem)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,11 +151,15 @@ def assert_same_lattice(b0, T):
         states = list(range(closed.start[t], closed.start[t + 1]))
         assert [closed.state(t, b) for b in layer] == [oracle.state(t, b) for b in layer] == states
         if t < T:
-            assert [x.hex() for x in closed.predictive(t).tolist()] == [
-                x.hex() for x in oracle.predictive(t).tolist()
-            ]
-            assert closed.up(t).tolist() == oracle.up(t).tolist()
-            assert closed.down(t).tolist() == oracle.down(t).tolist()
+            # the arrays and the lists, row for row and bit for bit
+            for built in (closed, oracle):
+                arrays = built.layer(t)
+                assert [a.dtype for a in arrays] == [np.float64, np.intp, np.intp]
+                assert [a.tolist() for a in arrays] == list(built.children(t))
+            q_closed, *kids_closed = closed.children(t)
+            q_oracle, *kids_oracle = oracle.children(t)
+            assert list(map(float.hex, q_closed)) == list(map(float.hex, q_oracle))
+            assert kids_closed == kids_oracle
 
 
 SHIPPED = [

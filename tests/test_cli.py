@@ -235,6 +235,33 @@ class TestSolveCommand:
         path.write_text("nonsense.key = 1\n")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize(
+        "data,line,byte",
+        [
+            (b"market.u = 12\n# caf\xe9\n", 2, "0xe9"),  # Latin-1, even in a comment
+            (b"\xef\xbb\xbfproblem.horizon = 3\r\n\r\nbelief.q0 = 0.\xff\n", 3, "0xff"),
+            (b"\xe9", 1, "0xe9"),
+        ],
+    )
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, command, data, line, byte):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(data)
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--policy", "cutloss"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config {path}: line {line}: byte {byte} is not UTF-8\n"
+        assert not out.exists()
+
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfmarket.u = 12\nproblem.horizon = 2\n")
+        assert load_config(str(path)) == RunConfig(market_u=12.0, problem_horizon=2)
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+
     @pytest.mark.parametrize(
         "text,message",
         [

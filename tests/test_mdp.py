@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from otl import (
 )
 from otl import beliefs, mdp
 from otl.beliefs import _Layers
+from otl.mdp import DEFAULT_ACTIONS
 from otl.verify import BELIEF_GRID, ORACLE_TOL, enumeration_q
 
 TICKS = (10.0, -10.0)
@@ -457,3 +459,57 @@ class TestTableLayout:
             table.q(0, b, Action(-2))
         assert table.lattice.beliefs(-1) == []
         assert table.lattice.beliefs(3) == []
+
+
+def occupancy_value(table):
+    """V(s_0) by policy evaluation with occupancy measures, an oracle that
+    shares the lattice and `best` with the solver but none of its backward
+    arithmetic: walk a* forward from s_0 under the belief's own predictive,
+    mu_t(s) the probability of state s at t, and sum mu_t(s) * E_q[r(s, a*(s))]
+    over every t < T and s."""
+    lattice, (u, d) = table.lattice, table.problem.ticks
+    stakes = np.array([a.stake for a in table.problem.action_set])
+    start = lattice.start
+    mu, terms = np.ones(1), []
+    for t in range(lattice.T):
+        q_up, up, down = lattice.layer(t)
+        stake = stakes[table.best[start[t] : start[t + 1]]]
+        terms += (mu * (q_up * stake * u + (1.0 - q_up) * stake * d)).tolist()
+        nxt = np.zeros(start[t + 2] - start[t + 1])
+        np.add.at(nxt, up - start[t + 1], mu * q_up)
+        np.add.at(nxt, down - start[t + 1], mu * (1.0 - q_up))
+        mu = nxt
+    return math.fsum(terms)
+
+
+# the relative gap allowed between V(s_0) and its occupancy sum: the two
+# sums round differently, by at most 3.7e-16 on the grid below
+OCCUPANCY_RTOL = 1e-12
+
+
+def assert_occupancy_identity(b0, T, **kw):
+    """b0's V(s_0), solved, is its occupancy sum; both are positive here,
+    so the relative tolerance means something."""
+    table = solve_q(problem(T, b0, **kw))
+    v0 = table.value(0, b0)
+    assert v0 > 0
+    assert math.isclose(occupancy_value(table), v0, rel_tol=OCCUPANCY_RTOL)
+
+
+class TestOccupancyIdentity:
+    @pytest.mark.parametrize(
+        "actions", [DEFAULT_ACTIONS, (NEUTRAL, LONG, Action(2), SHORT)], ids=["default", "sized"]
+    )
+    @pytest.mark.parametrize(
+        "b0,T",
+        [
+            (Static(0.6), 2000),
+            (Mirror(0.6), 2000),
+            (BetaBernoulli(1.0, 1.0), 1000),
+            (BetaBernoulli(0.5, 0.5), 300),
+            (BetaBernoulli(3, 2), 40),  # int counts: the closure
+        ],
+        ids=repr,
+    )
+    def test_value_is_the_occupancy_sum(self, b0, T, actions):
+        assert_occupancy_identity(b0, T, action_set=actions)

@@ -264,6 +264,19 @@ class TestRun:
         se = res.terminals.std(ddof=1) / math.sqrt(n)
         assert abs(res.stats.mean_terminal - exact) < 3 * se
 
+    @pytest.mark.parametrize("q", [0.55, 0.4])
+    def test_bellman_mean_pnl_is_the_solved_value(self, q):
+        # a Static(q) trader in a market whose p_up is q: the subjective
+        # value V(s_0) is the true expected P&L, and the Monte Carlo mean
+        # lies within 4 standard errors of it
+        T, n = 20, 10_000
+        prob = problem(T, belief=Static(q), actions=(NEUTRAL, LONG, Action(2), SHORT))
+        v0 = solve_q(prob).value(0, Static(q))
+        res = run(make_policy("bellman", prob), market(q), SimConfig(prob, n, master_seed=5))
+        se = res.terminals.std(ddof=1) / math.sqrt(n)
+        assert se > 0
+        assert abs(res.stats.mean_terminal - 1000.0 - v0) < 4 * se
+
 
 class TestHeuristicRules:
     """Oracle for the heuristics' automata: their stakes on every path,
