@@ -6,6 +6,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ValidationError
 
@@ -59,34 +60,51 @@ def shown(value: object) -> object:
     return value
 
 
-def check_int(value: object, name: str) -> int:
-    """`value` as an int (a numpy integer is one); raise unless it is an
-    integer, naming it `name` in the message."""
+def check_in(value: object, inside: Callable[[object], bool], rule: str) -> None:
+    """Raise `ValidationError(f"{rule}, got {shown(value)}")` unless
+    inside(value) holds. A value that is not a number (TypeError), an int
+    beyond float64 (OverflowError), a Decimal NaN (InvalidOperation, or
+    ValueError if signalling) or an array (ValueError) fails the same way."""
     try:
-        return operator.index(value)
+        if inside(value):
+            return
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    raise ValidationError(f"{rule}, got {shown(value)}")
+
+
+def check_int(value: object, name: str, least: int | None = None) -> int:
+    """`value` as an int (a numpy integer is one); raise unless it is an
+    integer of at least `least`, if given, naming it `name` in the message."""
+    try:
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {shown(value)}")
+    return value
 
 
 def check_finite(value: float, name: str) -> None:
     """Raise unless value is a finite float64 (an int beyond its range, or
     a value that is not a number, is not); `name` names the value in the
     message."""
+    check_in(value, math.isfinite, f"{name} must be finite")
+
+
+def check_ticks(ticks: tuple[float, float], owner: str) -> tuple[float, float]:
+    """The pair (u, d) as floats; raise unless it is a pair of finite ticks
+    with u > 0 > d. `owner` names the ticks in the message, e.g.
+    "MarketModel" or "DecisionProblem ticks"."""
     try:
-        if math.isfinite(value):
-            return
-    except (OverflowError, TypeError):
-        pass
-    raise ValidationError(f"{name} must be finite, got {shown(value)}")
-
-
-def check_ticks(u: float, d: float, owner: str) -> None:
-    """Raise unless (u, d) are finite ticks with u > 0 > d; `owner` names
-    the ticks in the message, e.g. "MarketModel" or "DecisionProblem ticks"."""
+        u, d = ticks
+    except (TypeError, ValueError):
+        raise ValidationError(f"{owner} must be a (u, d) pair, got {ticks!r}") from None
     check_finite(u, f"{owner} u")
     check_finite(d, f"{owner} d")
     if not u > 0 > d:
         raise ValidationError(f"{owner} must satisfy u > 0 > d, got ({u}, {d})")
+    return float(u), float(d)
 
 
 LONG = Action(1)

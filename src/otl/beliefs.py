@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Move, check_finite, shown
+from .actions import Move, check_finite, check_in, shown
 from .errors import ResourceLimitError, ValidationError
 
 # Upper bound on the stage states of a belief lattice (`lattice_of`), over all its layers
@@ -47,17 +47,13 @@ class Belief:
 
 @dataclass(frozen=True)
 class Static(Belief):
-    """Fixed up-probability in the open interval (0, 1)."""
+    """Fixed up-probability in the open interval (0, 1), kept as a float."""
 
     q_up: float
 
     def __post_init__(self) -> None:
-        try:
-            if 0.0 < self.q_up < 1.0:
-                return
-        except TypeError:  # not a number
-            pass
-        raise ValidationError(f"Static q_up must be in (0,1), got {shown(self.q_up)}")
+        check_in(self.q_up, lambda q: 0.0 < q < 1.0, "Static q_up must be in (0,1)")
+        object.__setattr__(self, "q_up", float(self.q_up))
 
     def predictive(self) -> float:
         return self.q_up
@@ -68,7 +64,7 @@ class Static(Belief):
 
 @dataclass(frozen=True)
 class Mirror(Belief):
-    """Confidence in [0.5, 1) placed on the favored direction.
+    """Confidence in [0.5, 1) placed on the favored direction, kept as a float.
 
     Updating snaps the favored direction to the observed move and keeps the
     confidence, so a single adverse move flips the sign of every directional
@@ -79,14 +75,8 @@ class Mirror(Belief):
     favored: Move = Move.UP
 
     def __post_init__(self) -> None:
-        try:
-            valid = 0.5 <= self.confidence < 1.0
-        except TypeError:  # not a number
-            valid = False
-        if not valid:
-            raise ValidationError(
-                f"Mirror confidence must be in [0.5,1), got {shown(self.confidence)}"
-            )
+        check_in(self.confidence, lambda c: 0.5 <= c < 1.0, "Mirror confidence must be in [0.5,1)")
+        object.__setattr__(self, "confidence", float(self.confidence))
         if not isinstance(self.favored, Move):
             raise ValidationError(f"Mirror favored must be a Move, got {self.favored!r}")
 
@@ -117,8 +107,7 @@ class BetaBernoulli(Belief):
             pass
         for name, count in (("alpha", self.alpha), ("beta", self.beta)):
             check_finite(count, f"BetaBernoulli {name}")
-            if not count > 0:
-                raise ValidationError(f"BetaBernoulli {name} must be > 0, got {count}")
+            check_in(count, lambda c: c > 0, f"BetaBernoulli {name} must be > 0")
         raise ValidationError(
             f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
         )

@@ -15,8 +15,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .actions import Move, check_finite, check_int, check_ticks, shown
-from .errors import ResourceLimitError, ValidationError
+from .actions import Move, check_finite, check_in, check_int, check_ticks, shown
+from .errors import ResourceLimitError
 
 
 # largest horizon enumerate_paths (2^20 paths) and price_process accept
@@ -25,9 +25,7 @@ MAX_ENUM_HORIZON = 20
 
 def check_horizon(horizon: int) -> int:
     """`horizon` as an int, if it is one in [0, MAX_ENUM_HORIZON]."""
-    horizon = check_int(horizon, "horizon")
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {shown(horizon)}")
+    horizon = check_int(horizon, "horizon", 0)
     if horizon > MAX_ENUM_HORIZON:
         raise ResourceLimitError(f"horizon {shown(horizon)} exceeds bound {MAX_ENUM_HORIZON}")
     return horizon
@@ -37,7 +35,8 @@ def check_horizon(horizon: int) -> int:
 class MarketModel:
     """Binomial dynamics under the true up-probability p_up.
 
-    The stake is fixed per trade, independent of accumulated wealth.
+    The stake is fixed per trade, independent of accumulated wealth. Every
+    field is kept as a float.
     """
 
     u: float
@@ -46,14 +45,12 @@ class MarketModel:
     initial_wealth: float = 1000.0
 
     def __post_init__(self) -> None:
-        check_ticks(self.u, self.d, "MarketModel")
+        u, d = check_ticks((self.u, self.d), "MarketModel")
         check_finite(self.initial_wealth, "MarketModel initial_wealth")
-        try:
-            if 0.0 <= self.p_up <= 1.0:
-                return
-        except TypeError:  # not a number
-            pass
-        raise ValidationError(f"p_up must be in [0,1], got {shown(self.p_up)}")
+        check_in(self.p_up, lambda p: 0.0 <= p <= 1.0, "p_up must be in [0,1]")
+        values = (u, d, self.p_up, self.initial_wealth)
+        for name, value in zip(("u", "d", "p_up", "initial_wealth"), values):
+            object.__setattr__(self, name, float(value))
 
     @property
     def ticks(self) -> tuple[float, float]:

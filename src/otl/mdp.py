@@ -31,9 +31,11 @@ class DecisionProblem:
     """Everything needed to solve for a Q-table.
 
     ticks are absolute money amounts per step, (u, d), finite with u > 0 > d;
-    any such pair is kept as a tuple, so the problem stays hashable.
-    action_set order is the argmax tie-break order; the shipped default
-    (neutral, long, short) stays out when indifferent.
+    any such pair is kept as a tuple of floats, so the problem stays hashable.
+    action_set order is the argmax tie-break order among equal float
+    Q-values. An exact tie can round to unequal floats and so go to any
+    action: at Beta(1.0, 1.0), T=2 the default (neutral, long, short)
+    plays short at t = 0, where all three Q-values are 10/3.
     """
 
     horizon: int
@@ -42,17 +44,8 @@ class DecisionProblem:
     action_set: tuple[Action, ...] = DEFAULT_ACTIONS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", check_int(self.horizon, "horizon"))
-        if self.horizon < 0:
-            raise ValidationError(f"horizon must be >= 0, got {shown(self.horizon)}")
-        try:
-            u, d = self.ticks
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"DecisionProblem ticks must be a (u, d) pair, got {self.ticks!r}"
-            ) from None
-        check_ticks(u, d, "DecisionProblem ticks")
-        object.__setattr__(self, "ticks", (u, d))
+        object.__setattr__(self, "horizon", check_int(self.horizon, "horizon", 0))
+        object.__setattr__(self, "ticks", check_ticks(self.ticks, "DecisionProblem ticks"))
         actions = tuple(self.action_set)
         if not actions:
             raise ValidationError("action_set must be non-empty")
@@ -150,8 +143,9 @@ class QTable:
         return float(self.qs[state, self.best[state]]) if t < self.problem.horizon else 0.0
 
     def optimal_action(self, t: int, belief: Belief) -> Action:
-        """Argmax of Q at the stage state; ties go to the earliest action
-        in the problem's action_set order."""
+        """Argmax of the float Q row at the stage state, its first maximum:
+        equal floats go to the earliest action in action_set order, but
+        rounding can decide an exact tie (see DecisionProblem)."""
         if t >= self.problem.horizon:
             raise UnreachableStateError(f"t={shown(t)} is at or past the horizon")
         return self.problem.action_set[self.best[self._state(t, belief)]]

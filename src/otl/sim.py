@@ -45,12 +45,9 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_paths", check_int(self.n_paths, "n_paths"))
+        object.__setattr__(self, "n_paths", check_int(self.n_paths, "n_paths", 1))
         object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed"))
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be >= 1, got {shown(self.n_paths)}")
-        if self.problem.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {shown(self.problem.horizon)}")
+        check_int(self.problem.horizon, "horizon", 1)
         if self.n_paths * self.problem.horizon > MAX_PATH_STEPS:
             raise ResourceLimitError(
                 f"n_paths x horizon = {shown(self.n_paths)} x {shown(self.problem.horizon)}"

@@ -94,8 +94,7 @@ def enumeration_q(
     no backward pass: this shares nothing with the solver. `ticks` is
     (u, d), finite with u > 0 > d; `horizon` is in [0, MAX_ENUM_HORIZON].
     """
-    u, d = ticks
-    check_ticks(u, d, "enumeration_q ticks")
+    u, d = check_ticks(ticks, "enumeration_q ticks")
     horizon = check_horizon(horizon)
     total = 0.0
     # Down is pushed first, so Up pops first

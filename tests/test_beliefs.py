@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             Mirror(1.0)
         Mirror(0.5)  # boundary allowed
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (Static, r"Static q_up must be in \(0,1\)"),
+            (Mirror, r"Mirror confidence must be in \[0.5,1\)"),
+        ],
+    )
+    def test_decimal_nan_is_out_of_range(self, make, message):
+        # comparing a Decimal NaN raises decimal.InvalidOperation
+        with pytest.raises(ValidationError, match=message + ", got NaN"):
+            make(Decimal("NaN"))
 
     def test_mirror_favored_must_be_a_move(self):
         # "up" is not Move.UP: predictive() would read it as down
@@ -258,3 +271,4 @@ class TestLattice:
         assert lattice_of(b0, T).start[-1] <= max_states
         with pytest.raises(ResourceLimitError, match=f"exceeds {max_states} stage states"):
             lattice_of(b0, T + 1)
+

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -174,4 +175,11 @@ class TestModelValidation:
     def test_non_finite_fields_rejected(self, name, bad):
         fields = {"u": 1.0, "d": -1.0, "p_up": 0.5, "initial_wealth": 1000.0, name: bad}
         with pytest.raises(ValidationError, match=f"MarketModel {name} must be finite"):
+            MarketModel(**fields)
+
+    @pytest.mark.parametrize("name", ["u", "d", "p_up", "initial_wealth"])
+    def test_signalling_decimal_nan_rejected(self, name):
+        # math.isfinite raises ValueError on it, a comparison InvalidOperation
+        fields = {"u": 1.0, "d": -1.0, "p_up": 0.5, "initial_wealth": 1000.0, name: Decimal("sNaN")}
+        with pytest.raises(ValidationError, match="got sNaN"):
             MarketModel(**fields)

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -513,3 +515,24 @@ class TestOccupancyIdentity:
     )
     def test_value_is_the_occupancy_sum(self, b0, T, actions):
         assert_occupancy_identity(b0, T, action_set=actions)
+
+
+class TestNumberTypes:
+    """A checked number of another type is stored as a Python float, so the
+    solver works in float64 whatever type the caller passed."""
+
+    @pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+    @pytest.mark.parametrize("make", [Static, Mirror])
+    def test_solved_in_float64(self, kind, make):
+        # 0.75, 1.5 and -0.5 are exact in every kind, so the Q-values are too
+        got = problem(4, make(kind("0.75")), ticks=(kind("1.5"), kind("-0.5")))
+        assert type(got.ticks[0]) is float and type(got.initial_belief.predictive()) is float
+        qs = solve_q(got).qs
+        assert qs.dtype == np.float64
+        assert qs.tolist() == solve_q(problem(4, make(0.75), ticks=(1.5, -0.5))).qs.tolist()
+
+    def test_float32_value_is_kept_as_its_float64(self):
+        q = np.float32(0.6)  # 0.6000000238418579
+        qs = solve_q(problem(3, Static(q), ticks=(np.float32(10), np.float32(-10)))).qs
+        assert qs.dtype == np.float64
+        assert qs.tolist() == solve_q(problem(3, Static(float(q)))).qs.tolist()

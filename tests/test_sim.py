@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -408,3 +409,22 @@ class TestCompare:
     def test_empty_policy_list_rejected(self):
         with pytest.raises(ValidationError):
             compare([], market(0.5), cfg(10, 5))
+
+
+class TestNumberTypes:
+    """A market's fields are stored as Python floats, so wealth is added up
+    in float64 whatever type the caller passed."""
+
+    def test_float32_ticks_add_up_in_float64(self):
+        tick, buyhold, moves = np.float32(0.1), make_policy("buyhold", problem(3)), [Move.DOWN] * 3
+        got = replay(buyhold, MarketModel(tick, -tick, 0.5), moves)
+        want = replay(buyhold, MarketModel(float(tick), -float(tick), 0.5), moves)
+        assert type(got.terminal_wealth) is float
+        assert got.wealths == want.wealths  # float32 sums end on 999.69995
+
+    def test_decimal_fields_simulate_as_floats(self):
+        model = MarketModel(Decimal(10), Decimal(-10), Decimal("0.45"), Decimal(1000))
+        assert model == market(0.45)
+        assert [type(v) for v in vars(model).values()] == [float] * 4
+        stats = run(make_policy("cutloss", problem(5)), model, cfg(50, 5)).stats
+        assert stats == run(make_policy("cutloss", problem(5)), market(0.45), cfg(50, 5)).stats

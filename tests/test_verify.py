@@ -140,6 +140,11 @@ class TestCheckers:
         with pytest.raises(ValidationError, match="enumeration_q ticks"):
             enumeration_q(Static(0.6), LONG, 1, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("ticks", [10.0, (10.0,), (10.0, -10.0, 1.0), None])
+    def test_oracle_rejects_ticks_that_are_not_a_pair(self, ticks):
+        with pytest.raises(ValidationError, match=r"enumeration_q ticks must be a \(u, d\) pair"):
+            enumeration_q(Static(0.6), LONG, 1, ticks)
+
     def test_checkers_are_deterministic(self):
         a = check_bellman().to_dict()
         b = check_bellman().to_dict()
