@@ -101,13 +101,23 @@ class BetaBernoulli(Belief):
     def __post_init__(self) -> None:
         # every update() pays this one test; predictive() divides by the sum
         try:
-            if self.alpha > 0 and self.beta > 0 and math.isfinite(self.alpha + self.beta):
-                return
-        except (OverflowError, TypeError):  # an int sum beyond float64, or not a number
+            total = self.alpha + self.beta
+            if (type(total) is float or type(total) is int) and self.alpha > 0 and self.beta > 0:
+                if math.isfinite(total):
+                    return
+        except (ArithmeticError, TypeError):  # an int sum beyond float64, an sNaN, not a number
             pass
+        # a count of another type (float32, Fraction, Decimal) is kept as a float
         for name, count in (("alpha", self.alpha), ("beta", self.beta)):
             check_finite(count, f"BetaBernoulli {name}")
             check_in(count, lambda c: c > 0, f"BetaBernoulli {name} must be > 0")
+            if type(count) is not int:
+                object.__setattr__(self, name, float(count))
+        try:
+            if math.isfinite(self.alpha + self.beta):
+                return
+        except OverflowError:  # an int sum beyond float64
+            pass
         raise ValidationError(
             f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
         )

@@ -4,6 +4,7 @@ behaviors it is compared against (cut losses, average down, buy and hold).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,14 +37,12 @@ class Policy:
 def bellman(table: QTable) -> Policy:
     """The policy that plays the argmax of the solved Q-table at (t, belief).
     Its states are the lattice's stage states: state s plays `table.best[s]`
-    and moves to the state of the belief's up or down child."""
+    and moves to `up[s]` or `down[s]`, int64 arrays of its belief's child states."""
     lattice, actions = table.lattice, table.problem.action_set
-    # one int object per state, shared by every list that names it
-    states = list(range(lattice.start[-1]))
-    up, down = [], []
+    up, down = array("q"), array("q")
     for _, ups, downs in map(lattice.layer, range(lattice.T)):
-        up += map(states.__getitem__, ups.tolist())
-        down += map(states.__getitem__, downs.tolist())
+        up.frombytes(ups.astype("q").tobytes())
+        down.frombytes(downs.astype("q").tobytes())
     act = list(map(actions.__getitem__, table.best.tolist()))
     return Policy("bellman", up, down, act, table.problem)
 

@@ -463,18 +463,21 @@ class TestTableLayout:
         assert table.lattice.beliefs(3) == []
 
 
-def occupancy_value(table):
+def occupancy_value(table, p_up=None):
     """V(s_0) by policy evaluation with occupancy measures, an oracle that
     shares the lattice and `best` with the solver but none of its backward
     arithmetic: walk a* forward from s_0 under the belief's own predictive,
     mu_t(s) the probability of state s at t, and sum mu_t(s) * E_q[r(s, a*(s))]
-    over every t < T and s."""
+    over every t < T and s. Given a true up-probability p_up, walk and sum
+    under it instead: the exact mean P&L of a* in that market."""
     lattice, (u, d) = table.lattice, table.problem.ticks
     stakes = np.array([a.stake for a in table.problem.action_set])
     start = lattice.start
     mu, terms = np.ones(1), []
     for t in range(lattice.T):
         q_up, up, down = lattice.layer(t)
+        if p_up is not None:
+            q_up = np.full(len(q_up), p_up)
         stake = stakes[table.best[start[t] : start[t + 1]]]
         terms += (mu * (q_up * stake * u + (1.0 - q_up) * stake * d)).tolist()
         nxt = np.zeros(start[t + 2] - start[t + 1])
@@ -536,3 +539,15 @@ class TestNumberTypes:
         qs = solve_q(problem(3, Static(q), ticks=(np.float32(10), np.float32(-10)))).qs
         assert qs.dtype == np.float64
         assert qs.tolist() == solve_q(problem(3, Static(float(q)))).qs.tolist()
+
+    @pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+    def test_beta_counts_solved_as_float_counts(self, kind):
+        # float32 counts once gave a float32 predictive on the closure
+        # (6.571429769198113), Decimal a TypeError inside the solve, and
+        # Fraction the closure
+        b0 = BetaBernoulli(kind(3), kind(2))
+        assert type(b0.alpha) is float and type(b0.beta) is float
+        table = solve_q(problem(3, b0))
+        assert type(table.lattice) is beliefs._BetaCounts
+        assert table.q(0, b0, LONG) == 6.571428571428569
+        assert table.qs.tolist() == solve_q(problem(3, BetaBernoulli(3.0, 2.0))).qs.tolist()

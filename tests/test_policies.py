@@ -1,3 +1,6 @@
+import copy
+import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -8,6 +11,7 @@ from otl import (
     NEUTRAL,
     SHORT,
     Action,
+    BetaBernoulli,
     ConfigurationError,
     DecisionProblem,
     MarketModel,
@@ -16,11 +20,14 @@ from otl import (
     Static,
     enumerate_paths,
     make_policy,
+    solve_q,
 )
-from otl.policies import POLICY_KINDS
+from otl.policies import POLICY_KINDS, bellman
 from otl.sim import replay
 
 TICKS = (10.0, -10.0)
+# one belief of each lattice kind: the closed forms and the closure
+BELLMAN_BELIEFS = [BetaBernoulli(1.0, 1.0), BetaBernoulli(3, 2), Static(0.6), Mirror(0.6, Move.UP)]
 
 
 def after(pol, *moves):
@@ -100,6 +107,45 @@ class TestBellmanOptimal:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             make_policy("martingale", problem())
+
+
+@pytest.mark.parametrize("belief", BELLMAN_BELIEFS, ids=repr)
+class TestBellmanAutomaton:
+    """Bellman's `up` and `down` hold the lattice's child states as they are,
+    one int64 array each, in place of a Python int per state."""
+
+    def test_holds_the_lattice_children(self, belief):
+        table = solve_q(problem(horizon=6, belief=belief))
+        pol = bellman(table)
+        layers = [table.lattice.layer(t) for t in range(6)]
+        assert list(pol.up) == [s for _, up, _ in layers for s in up.tolist()]
+        assert list(pol.down) == [s for _, _, down in layers for s in down.tolist()]
+        assert all(type(s) is int for s in (*pol.up, *pol.down))
+        assert list(pol.act) == [table.problem.action_set[a] for a in table.best.tolist()]
+
+    def test_survives_pickle_and_deepcopy(self, belief):
+        pol = make_policy("bellman", problem(horizon=6, belief=belief))
+        m = MarketModel(u=10.0, d=-10.0, p_up=0.5)
+        for twin in (pickle.loads(pickle.dumps(pol)), copy.deepcopy(pol)):
+            assert (twin.up, twin.down, twin.act) == (pol.up, pol.down, pol.act)
+            assert twin.problem == pol.problem
+            for moves, _ in enumerate_paths(m, 6):
+                assert replay(twin, m, moves) == replay(pol, m, moves)
+
+
+def test_bellman_keeps_no_python_int_per_state():
+    # two 8-byte children and one 8-byte slot naming a shared Action per
+    # state, ~25 bytes; a Python int per state, even one shared by two
+    # lists, takes ~58 here
+    table = solve_q(problem(horizon=300, belief=BetaBernoulli(1.0, 1.0)))
+    tracemalloc.start()
+    try:
+        pol = bellman(table)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pol.up) == len(pol.down) == len(pol.act) == 45_150  # the states of t < T
+    assert kept / len(pol.act) <= 32
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)

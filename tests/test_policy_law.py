@@ -8,8 +8,19 @@ from collections import defaultdict
 
 import pytest
 
-from otl import BetaBernoulli, DecisionProblem, MarketModel, Static, compare, make_policy
+from otl import (
+    BetaBernoulli,
+    DecisionProblem,
+    MarketModel,
+    Mirror,
+    Static,
+    compare,
+    make_policy,
+    solve_q,
+)
 from otl.sim import SimConfig
+
+from test_mdp import occupancy_value
 
 TICKS = (10.0, -10.0)
 MODEL = MarketModel(u=10.0, d=-10.0, p_up=0.45, initial_wealth=1000.0)
@@ -61,6 +72,25 @@ def exact_stats(policy, model, horizon):
     return mean, math.sqrt(var), ruin, len(law)
 
 
+def wealth_law(policy, model, horizon):
+    """[(terminal wealth, probability)] in increasing wealth, one per wealth."""
+    law = defaultdict(float)
+    for (_, wealth, _), prob in policy_law(policy, model, horizon).items():
+        law[wealth] += prob
+    return sorted(law.items())
+
+
+def exact_quantile(law, p):
+    """The least terminal wealth w with P(W <= w) >= p: the first for
+    p <= 0, the last for p >= 1."""
+    cdf = 0.0
+    for wealth, prob in law:
+        cdf += prob
+        if cdf >= p:
+            return wealth
+    return wealth
+
+
 def assert_exact(config, kind):
     """The exact law of policy `kind` on `config` has the stated mean, ruin
     and support, each to half a unit of its last stated digit."""
@@ -89,3 +119,46 @@ def test_monte_carlo_lies_within_the_bound_of_the_exact_law(config, n_paths, see
         # binomial standard error; an exact ruin of 0 must read 0
         ruin_se = math.sqrt(ruin * (1 - ruin) / n_paths)
         assert abs(got.ruin_fraction - ruin) <= Z_BOUND * ruin_se, kind
+
+
+@pytest.mark.parametrize("config, n_paths, seed", MC_RUNS)
+def test_monte_carlo_std_and_quantiles_lie_within_the_bound_of_the_exact_law(
+    config, n_paths, seed
+):
+    prob = PROBLEMS[config]
+    kinds = [kind for c, kind in EXACT if c == config]
+    table = compare([make_policy(k, prob) for k in kinds], MODEL, SimConfig(prob, n_paths, seed))
+    for kind, result in zip(kinds, table.results):
+        law = wealth_law(make_policy(kind, prob), MODEL, prob.horizon)
+        mean = math.fsum(p * w for w, p in law)
+        sigma = math.sqrt(math.fsum(p * (w - mean) ** 2 for w, p in law))
+        mu4 = math.fsum(p * (w - mean) ** 4 for w, p in law)
+        # the sample std's standard error, by the delta method on the variance
+        std_se = math.sqrt((mu4 - sigma**4) / n_paths) / (2 * sigma)
+        got = result.stats
+        assert abs(got.std_terminal - sigma) <= Z_BOUND * std_se, kind
+        # the sample p-quantile lies between the exact quantiles at p plus or
+        # minus Z_BOUND binomial standard errors of the empirical CDF at p
+        for p, q in zip((0.05, 0.25, 0.5, 0.75, 0.95), got.quantiles()):
+            half = Z_BOUND * math.sqrt(p * (1 - p) / n_paths)
+            assert exact_quantile(law, p - half) <= q <= exact_quantile(law, p + half), (kind, p)
+
+
+# value of learning under misspecification (README): a solved policy's
+# subjective V(s_0) against its exact mean P&L when the true p_up is 0.45,
+# ticks ±10, each to half a unit of its last stated digit
+MISSPECIFIED = [
+    (BetaBernoulli(1.0, 1.0), 1000, 4964.1044, 900.2713),
+    (BetaBernoulli(1.0, 1.0), 300, 1470.1127, 214.0406),
+    (Static(0.6), 1000, 2000.0, -1000.0),
+    (Mirror(0.6), 1000, 2000.0, 98.9),
+]
+
+
+@pytest.mark.parametrize("b0, T, value, mean_pnl", MISSPECIFIED, ids=repr)
+def test_value_of_learning_under_misspecification(b0, T, value, mean_pnl):
+    table = solve_q(DecisionProblem(horizon=T, ticks=TICKS, initial_belief=b0))
+    assert table.value(0, b0) == pytest.approx(value, abs=5e-5)
+    assert occupancy_value(table, MODEL.p_up) == pytest.approx(mean_pnl, abs=5e-5)
+    # with no edge in the market, no policy makes money on average
+    assert occupancy_value(table, 0.5) == 0.0
