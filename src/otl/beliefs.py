@@ -100,14 +100,14 @@ class BetaBernoulli(Belief):
 
     def __post_init__(self) -> None:
         # every update() pays this one test; predictive() divides by the sum
+        a, b = self.alpha, self.beta
         try:
-            total = self.alpha + self.beta
-            if (type(total) is float or type(total) is int) and self.alpha > 0 and self.beta > 0:
-                if math.isfinite(total):
+            if (type(a) is int or type(a) is float) and (type(b) is int or type(b) is float):
+                if a > 0 and b > 0 and math.isfinite(a + b):
                     return
-        except (ArithmeticError, TypeError):  # an int sum beyond float64, an sNaN, not a number
+        except OverflowError:  # an int sum beyond float64
             pass
-        # a count of another type (float32, Fraction, Decimal) is kept as a float
+        # a count of another type (bool, float32, Fraction, Decimal) is kept as a float
         for name, count in (("alpha", self.alpha), ("beta", self.beta)):
             check_finite(count, f"BetaBernoulli {name}")
             check_in(count, lambda c: c > 0, f"BetaBernoulli {name} must be > 0")
@@ -131,8 +131,11 @@ class BetaBernoulli(Belief):
         return BetaBernoulli(self.alpha, self.beta + 1)
 
 
+_BETA_ID = "beta({},{})".format  # over the counts' reprs
+
+
 def _beta_id(alpha: float, beta: float) -> str:
-    return f"beta({alpha!r},{beta!r})"
+    return _BETA_ID(repr(alpha), repr(beta))
 
 
 def belief_id(belief: Belief) -> str:
@@ -168,7 +171,8 @@ class Lattice:
     layer t (another kind, counts never reached, or t outside 0..T);
     ``beliefs(t)`` and ``ids(t)`` are the beliefs in row order and their
     `belief_id`s, [] for t outside 0..T. A kind answers them for t in 0..T
-    in ``_state``, ``_beliefs`` and, if faster than `belief_id`, ``_ids``.
+    in ``_state`` and ``_beliefs``; ``_ids`` maps `belief_id` over them unless
+    the kind builds ids faster (`_BetaCounts` formats each count once).
     `lattice_of` builds one, of at most MAX_STAGE_STATES states: the closed
     forms `_LastMove` (Static, Mirror; one or two rows per layer) and
     `_BetaCounts` (t + 1 rows), or the closure `_Layers`.
@@ -292,6 +296,7 @@ class _BetaCounts(Lattice):
         _check_states((T + 1) * (T + 2) // 2, T)
         self._alphas, self._betas = counts
         self._beta_at = {b: k for k, b in enumerate(self._betas.tolist())}
+        self._reprs: list[list[str]] | None = None  # the counts' reprs, made by the first _ids
         super().__init__(T, [t * (t + 1) // 2 for t in range(T + 2)])
 
     def layer(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,12 +310,11 @@ class _BetaCounts(Lattice):
         k = self._beta_at.get(belief.beta, t + 1)  # row k holds alphas[t - k]; float(): exact ==
         return None if k > t or float(self._alphas[t - k]) != belief.alpha else self.start[t] + k
 
-    def _counts(self, t: int) -> tuple[list[float], list[float]]:
-        """The alpha and beta counts of layer t's rows."""
-        return self._alphas[t::-1].tolist(), self._betas[: t + 1].tolist()
-
     def _beliefs(self, t: int) -> list[Belief]:
-        return list(map(BetaBernoulli, *self._counts(t)))
+        return list(map(BetaBernoulli, self._alphas[t::-1].tolist(), self._betas[: t + 1].tolist()))
 
     def _ids(self, t: int) -> list[str]:
-        return list(map(_beta_id, *self._counts(t)))
+        if self._reprs is None:
+            self._reprs = [list(map(repr, c.tolist())) for c in (self._alphas, self._betas)]
+        alphas, betas = self._reprs
+        return list(map(_BETA_ID, alphas[t::-1], betas[: t + 1]))

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import astuple, fields
+from itertools import chain, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import verify as verify_mod
@@ -33,6 +34,8 @@ STATS_CSV_COLUMNS = ["policy", *(f.name for f in fields(Stats))]
 QTABLE_CSV_COLUMNS = ["t", "belief_id", "action", "q_value", "is_optimal"]
 # the path-CSV writer caches a cell per distinct wealth, up to this many (~2 MiB)
 WEALTH_CELLS_CAP = 1 << 14
+# the Q-table export writes whole lattice layers in blocks of at least this many states
+EXPORT_BLOCK_ROWS = 128
 # Every CSV is what csv.writer writes (QUOTE_MINIMAL, \r\n line ends): cells
 # joined by commas, numbers through _num, a cell quoted only when it holds a
 # comma (only belief ids do), and no cell holds a quote or a line break.
@@ -222,31 +225,39 @@ def _cmd_solve(args) -> int:
 
 
 def _export_qtable(table, out: Optional[_Output]) -> None:
-    """Print the Q-table and, given a file, write it as CSV too, in one pass
-    over the lattice layers: per t, beliefs in belief_id order, one line per
-    action, then the stage's argmax line."""
+    """Print the Q-table and, given a file, write it as CSV too: per t, beliefs
+    in belief_id order, one line per action, then the stage's argmax line. Whole
+    layers go out in blocks of at least EXPORT_BLOCK_ROWS states, each text one
+    join over columns of cells, so each Q-value is formatted once, by repr."""
     names = [str(a) for a in table.problem.action_set]
-    n = len(names)
+    arrows = [f" -> {name}\n" for name in names]
+    flags = [[f",{int(i == j)}\r\n" for i in range(len(names))] for j in range(len(names))]
     if out is not None:
         out.write(_csv_line(QTABLE_CSV_COLUMNS))
-    start = table.lattice.start
-    for t in range(table.problem.horizon):
-        ids = table.lattice.ids(t)
-        layer = slice(start[t], start[t + 1])
-        qs = list(map(repr, table.qs[layer].ravel().tolist()))
-        best = table.best[layer].tolist()
-        lines, csv_lines = [], []
-        for i in sorted(range(len(ids)), key=ids.__getitem__):
-            prefix = f"t={t}, belief={ids[i]}"
-            cell = f'"{ids[i]}"' if "," in ids[i] else ids[i]
-            for j, name in enumerate(names):
-                q = qs[i * n + j]
-                lines.append(f"{prefix}, {name}, {q}\n")
-                csv_lines.append(f"{t},{cell},{name},{q},{int(j == best[i])}\r\n")
-            lines.append(f"{prefix} -> {names[best[i]]}\n")
-        _echo("".join(lines))
+    start, T = table.lattice.start, table.problem.horizon
+    heads, tcells, ids, rows = [], [], [], []
+    for t in range(T):
+        layer = table.lattice.ids(t)
+        order = sorted(range(len(layer)), key=layer.__getitem__)
+        heads += [f"t={t}, belief="] * len(layer)
+        tcells += [f"{t},"] * len(layer)
+        ids += map(layer.__getitem__, order)
+        rows += map(start[t].__add__, order)
+        if len(rows) < EXPORT_BLOCK_ROWS and t < T - 1:
+            continue
+        qs = [list(map(repr, col)) for col in table.qs[rows].T.tolist()]
+        best = table.best[rows].tolist()
+        columns = []
+        for name, q in zip(names, qs):
+            columns += heads, ids, repeat(f", {name}, "), q, repeat("\n")
+        columns += heads, ids, map(arrows.__getitem__, best)
+        _echo("".join(chain.from_iterable(zip(*columns))))
         if out is not None:
-            out.write("".join(csv_lines))
+            cells, columns = [f'"{i}"' if "," in i else i for i in ids], []
+            for name, q, flag in zip(names, qs, flags):
+                columns += tcells, cells, repeat(f",{name},"), q, map(flag.__getitem__, best)
+            out.write("".join(chain.from_iterable(zip(*columns))))
+        heads, tcells, ids, rows = [], [], [], []
 
 
 def _parse_policy_name(name: str) -> str:

@@ -90,8 +90,15 @@ MUTANTS = [
     (
         "Q-table export in row order",
         "src/otl/cli.py",
-        "for i in sorted(range(len(ids)), key=ids.__getitem__):",
-        "for i in range(len(ids)):",
+        "order = sorted(range(len(layer)), key=layer.__getitem__)",
+        "order = list(range(len(layer)))",
+        ["tests/test_cli.py", "tests/test_golden.py"],
+    ),
+    (
+        "Q-table export drops the last partial block",
+        "src/otl/cli.py",
+        "if len(rows) < EXPORT_BLOCK_ROWS and t < T - 1:",
+        "if len(rows) < EXPORT_BLOCK_ROWS:",
         ["tests/test_cli.py", "tests/test_golden.py"],
     ),
     (

@@ -93,6 +93,18 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             BetaBernoulli(1, -2)
 
+    def test_beta_bool_counts_are_floats(self):
+        # True + True is an int, but a bool count is not one: each count's own type decides
+        ones = BetaBernoulli(True, True)
+        assert ones == BetaBernoulli(1.0, 1.0)
+        assert (type(ones.alpha), type(ones.beta)) == (float, float)
+        mixed = [BetaBernoulli(True, 2.0), BetaBernoulli(2, True)]
+        assert [(type(b.alpha), type(b.beta)) for b in mixed] == [(float, float), (int, float)]
+        assert type(lattice_of(ones, 3)) is type(lattice_of(BetaBernoulli(1.0, 1.0), 3))
+        assert lattice_of(ones, 1).ids(1) == ["beta(2.0,1.0)", "beta(1.0,2.0)"]
+        with pytest.raises(ValidationError, match="BetaBernoulli alpha must be > 0, got False"):
+            BetaBernoulli(False, 1)
+
     # math.isfinite raises OverflowError on an int beyond float64
     @pytest.mark.parametrize(
         "bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float64")]
@@ -236,6 +248,14 @@ class TestLattice:
             for t in (-T - 2, -1, T + 1, T + 2):
                 assert built.beliefs(t) == [] and built.ids(t) == []
                 assert built.state(t, b0) is None
+
+    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    def test_ids_are_the_belief_ids(self, b0):
+        T = 9
+        lattice = lattice_of(b0, T)
+        # last layer first: a kind that caches its ids' parts must serve any order
+        for t in range(T + 1, -2, -1):
+            assert lattice.ids(t) == list(map(belief_id, lattice.beliefs(t)))
 
     @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
     def test_beta_rows_reached_at_another_t_are_none(self, b0):

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from otl import cli, verify as verify_mod
 from otl.actions import Action, Move
-from otl.beliefs import belief_id
+from otl.beliefs import BetaBernoulli, Mirror, Static, belief_id
 from otl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAIL, build_parser, main
 from otl.config import RunConfig, dump_config, load_config, parse_config
 from otl.errors import ConfigurationError
 from otl.market import derive_path_seed, sample_moves
-from otl.mdp import solve_q
+from otl.mdp import DecisionProblem, solve_q
 from otl.policies import POLICY_KINDS, make_policy
 from otl.sim import replay
 
@@ -284,33 +284,53 @@ class TestSolveCommand:
         assert captured.out == ""
         assert not out_csv.exists()
 
-    def test_export_matches_table_queries(self, tmp_path, capsys):
-        path = tmp_path / "beta.cfg"
-        path.write_text(
-            "problem.horizon = 8\nbelief.kind = beta\nbelief.alpha = 3\nbelief.beta = 2\n"
-        )
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # 300 one-row layers: blocks of 128, 128 and 44 states
+            DecisionProblem(300, (10.0, -10.0), Static(0.6)),
+            # two-row layers; each id holds a comma, so its CSV cell is quoted
+            DecisionProblem(70, (10.0, -10.0), Mirror(0.6)),
+            # 210 states, a block of 136 and one of 74
+            DecisionProblem(20, (10.0, -10.0), BetaBernoulli(1.0, 1.0)),
+            # layers narrower and wider than a block
+            DecisionProblem(200, (10.0, -10.0), BetaBernoulli(1.0, 1.0)),
+            # int counts: the forward closure
+            DecisionProblem(30, (10.0, -10.0), BetaBernoulli(3, 2)),
+            # sized actions on uneven ticks: the argmax is not always column 0
+            DecisionProblem(
+                40, (1.5, -0.5), BetaBernoulli(1.0, 1.0), tuple(map(Action, (0, 1, -1, 2, -3)))
+            ),
+        ],
+        ids=lambda p: f"{p.initial_belief}-T{p.horizon}-{len(p.action_set)}actions",
+    )
+    def test_export_matches_table_queries(self, tmp_path, capsys, monkeypatch, problem):
+        # every stdout line and the whole CSV, built from the table's queries by
+        # f-strings and csv.writer: per t, beliefs in belief_id order
+        table = solve_q(problem)
+        monkeypatch.setattr(cli, "solve_q", lambda _: table)
+        path = tmp_path / "any.cfg"
+        path.write_text("problem.horizon = 1\n")
         out_csv = tmp_path / "q.csv"
         assert main(["solve", "--config", str(path), "--out", str(out_csv)]) == EXIT_OK
-        stdout = capsys.readouterr().out
-
-        table = solve_q(load_config(str(path)).problem())
-        expected_rows = []
-        expected_best = []
-        for t in range(8):
+        lines = []
+        rows = io.StringIO(newline="")
+        writer = csv.writer(rows)
+        writer.writerow(["t", "belief_id", "action", "q_value", "is_optimal"])
+        for t in range(problem.horizon):
             for b in sorted(table.lattice.beliefs(t), key=belief_id):
                 best = table.optimal_action(t, b)
-                for a in table.problem.action_set:
+                for a in problem.action_set:
                     q = repr(table.q(t, b, a))
-                    expected_rows.append([str(t), belief_id(b), str(a), q, str(int(a == best))])
-                expected_best.append(f"t={t}, belief={belief_id(b)} -> {best}")
-        with open(out_csv, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "belief_id", "action", "q_value", "is_optimal"]
-        assert rows[1:] == expected_rows
-
-        best_lines = [line for line in stdout.splitlines() if " -> " in line]
-        assert best_lines == expected_best
-        assert len(best_lines) == sum(len(table.lattice.beliefs(t)) for t in range(8))
+                    lines.append(f"t={t}, belief={belief_id(b)}, {a}, {q}\n")
+                    writer.writerow([t, belief_id(b), a, q, int(a == best)])
+                lines.append(f"t={t}, belief={belief_id(b)} -> {best}\n")
+        assert capsys.readouterr().out == "".join(lines)
+        assert out_csv.read_bytes() == rows.getvalue().encode()
+        n_states = table.lattice.start[problem.horizon]
+        assert len(lines) == n_states * (len(problem.action_set) + 1)
+        if len(problem.action_set) == 5:
+            assert len(set(table.best.tolist())) > 1
 
 
 # ticks of either sign's size, whole and fractional
