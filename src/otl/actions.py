@@ -21,6 +21,11 @@ class Move(enum.Enum):
         return f"Move.{self.name}"
 
 
+# bound once for per-path code: reading an enum member (`Move.UP`) costs ~95 ns
+# on Python 3.11, reading a module name ~6 ns
+UP, DOWN = Move.UP, Move.DOWN
+
+
 @dataclass(frozen=True)
 class Action:
     """A position held for one step: `stake` units long if positive, short

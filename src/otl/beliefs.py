@@ -131,11 +131,8 @@ class BetaBernoulli(Belief):
         return BetaBernoulli(self.alpha, self.beta + 1)
 
 
-_BETA_ID = "beta({},{})".format  # over the counts' reprs
-
-
 def _beta_id(alpha: float, beta: float) -> str:
-    return _BETA_ID(repr(alpha), repr(beta))
+    return f"beta({alpha!r},{beta!r})"
 
 
 def belief_id(belief: Belief) -> str:
@@ -317,4 +314,4 @@ class _BetaCounts(Lattice):
         if self._reprs is None:
             self._reprs = [list(map(repr, c.tolist())) for c in (self._alphas, self._betas)]
         alphas, betas = self._reprs
-        return list(map(_BETA_ID, alphas[t::-1], betas[: t + 1]))
+        return [f"beta({a},{b})" for a, b in zip(alphas[t::-1], betas[: t + 1])]

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import verify as verify_mod
-from .actions import Move
+from .actions import DOWN, UP
 from .config import dump_config, load_config
 from .errors import ConfigurationError, ResourceLimitError, ValidationError
 from .market import MarketModel
@@ -36,6 +36,8 @@ QTABLE_CSV_COLUMNS = ["t", "belief_id", "action", "q_value", "is_optimal"]
 WEALTH_CELLS_CAP = 1 << 14
 # the Q-table export writes whole lattice layers in blocks of at least this many states
 EXPORT_BLOCK_ROWS = 128
+# an output file is written in chunks of at least this many characters (_Output)
+OUTPUT_CHUNK = 1 << 16
 # Every CSV is what csv.writer writes (QUOTE_MINIMAL, \r\n line ends): cells
 # joined by commas, numbers through _num, a cell quoted only when it holds a
 # comma (only belief ids do), and no cell holds a quote or a line break.
@@ -89,11 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Output:
-    """An output file; a failed open, write or close is a ConfigurationError naming it."""
+    """An output file; a failed open, write or close is a ConfigurationError naming it.
+    Writes are joined into chunks of at least OUTPUT_CHUNK characters, so a file
+    written piece by piece (the path CSV, one write per path) costs one file write
+    per chunk; close() writes the rest."""
 
     def __init__(self, path: str):
         self.path = path
         self._fh = self._call(open, path, "w", newline="")
+        self._parts: list[str] = []
+        self._size = 0
 
     def _call(self, fn, *args, **kwargs):
         try:
@@ -101,11 +108,24 @@ class _Output:
         except OSError as exc:
             raise ConfigurationError(f"cannot write {self.path}: {exc}") from exc
 
-    def write(self, text: str) -> int:
-        return self._call(self._fh.write, text)
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= OUTPUT_CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._parts:
+            text = "".join(self._parts)
+            self._parts, self._size = [], 0  # emptied first: a failed write is not retried
+            self._call(self._fh.write, text)
 
     def close(self) -> None:
-        self._call(self._fh.close)
+        """Write the rest, then close the file, even if that write failed."""
+        try:
+            self._flush()
+        finally:
+            self._call(self._fh.close)
 
 
 def _file_key(path: str) -> object:
@@ -160,14 +180,15 @@ def _path_writer(fh: _Output, model: MarketModel) -> OnPath:
     wcells: dict[float, str] = {}
 
     def write(path_id: int, path: WealthPath) -> None:
-        tcells.extend(f"{t}," for t in range(len(tcells), len(path.wealths)))
-        rows, down = [], Move.DOWN
+        if len(path.wealths) > len(tcells):
+            tcells.extend(f"{t}," for t in range(len(tcells), len(path.wealths)))
+        rows, down = [], DOWN
         for tcell, move, action, wealth in zip(tcells, path.moves, path.actions, path.wealths):
             head = heads.get(action.stake)
             if head is None:
                 cells = f"{action.direction},{action.size}"
-                up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
-                down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
+                up_head = f"{UP.value},{cells},{_num(action.stake * model.u)},"
+                down_head = f"{DOWN.value},{cells},{_num(action.stake * model.d)},"
                 head = heads[action.stake] = (up_head, down_head)
             wcell = wcells.get(wealth)
             if wcell is None:

@@ -8,14 +8,15 @@ becomes $990.
 
 from __future__ import annotations
 
+import _random
+import functools
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .actions import Move, check_finite, check_in, check_int, check_ticks, shown
+from .actions import DOWN, UP, Move, check_finite, check_in, check_int, check_ticks, shown
 from .errors import ResourceLimitError
 
 
@@ -83,16 +84,27 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# a run derives every path's seed from one master seed, so its mix is kept
+_mix_master = functools.lru_cache(maxsize=1)(_splitmix64)
+
+
 def derive_path_seed(master_seed: int, path_index: int) -> int:
-    """64-bit seed for path `path_index` of a run keyed by `master_seed`."""
-    return _splitmix64(_splitmix64(master_seed & _MASK) ^ (path_index & _MASK))
+    """64-bit seed for path `path_index` of a run keyed by `master_seed`:
+    splitmix64(splitmix64(master_seed mod 2^64) ^ (path_index mod 2^64))."""
+    return _splitmix64(_mix_master(master_seed & _MASK) ^ (path_index & _MASK))
 
 
 def sample_moves(p_up: float, horizon: int, path_seed: int) -> list[Move]:
-    """`horizon` iid moves, Up with probability p_up, fixed by path_seed."""
-    draw = random.Random(path_seed).random
-    up, down = Move.UP, Move.DOWN
-    return [up if draw() < p_up else down for _ in range(horizon)]
+    """`horizon` iid moves, Up with probability p_up, fixed by path_seed: the
+    first `horizon` draws of `random.Random(path_seed).random() < p_up`."""
+    if type(path_seed) is not int:
+        # the generator would seed any other object by its hash, which for a str
+        # changes from one process to the next
+        path_seed = check_int(path_seed, "path_seed")
+    # the C base class of random.Random: for an int it seeds the same MT19937
+    # (init_by_array over the seed's 32-bit words) without the Python __init__
+    draw = _random.Random(path_seed).random
+    return [UP if draw() < p_up else DOWN for _ in range(horizon)]
 
 
 def enumerate_paths(

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .actions import Action, Move, check_int, shown
+from .actions import UP, Action, Move, check_int, shown
 from .errors import ResourceLimitError, ValidationError
 from .market import MarketModel, derive_path_seed, sample_moves
 from .mdp import DecisionProblem
@@ -29,8 +29,10 @@ from .policies import Policy
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # bound on n_paths x horizon: a run holds one path's steps, 17 B per path (terminal
-# wealth, drawdown and ruin arrays; ~85 MB at T=1) and the path-CSV writer's capped
-# wealth cells (cli.WEALTH_CELLS_CAP); its CSV takes ~34 B per step, ~0.17 GB at the bound
+# wealth, drawdown and ruin arrays; ~85 MB at T=1), the path-CSV writer's capped
+# wealth cells (cli.WEALTH_CELLS_CAP) and its unwritten rows, under ~0.2 MB (a chunk
+# of cli.OUTPUT_CHUNK characters, joined and then encoded); its CSV takes ~34 B per
+# step, ~0.17 GB at the bound
 MAX_PATH_STEPS = 5_000_000
 OnPath = Callable[[int, "WealthPath"], None]  # on_path(i, path), as path i is replayed
 
@@ -147,7 +149,7 @@ def replay(policy: Policy, model: MarketModel, moves: Sequence[Move]) -> WealthP
     actions: list[Action] = []
     wealths: list[float] = []
     decide, up, down = policy.decide, policy.up, policy.down
-    u, d, up_move = model.u, model.d, Move.UP
+    u, d, up_move = model.u, model.d, UP
     for move in moves:
         action = decide(state)
         if move is up_move:

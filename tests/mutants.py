@@ -32,8 +32,8 @@ HEADS = """\
             head = heads.get(action.stake)
             if head is None:
                 cells = f"{action.direction},{action.size}"
-                up_head = f"{Move.UP.value},{cells},{_num(action.stake * model.u)},"
-                down_head = f"{down.value},{cells},{_num(action.stake * model.d)},"
+                up_head = f"{UP.value},{cells},{_num(action.stake * model.u)},"
+                down_head = f"{DOWN.value},{cells},{_num(action.stake * model.d)},"
                 head = heads[action.stake] = (up_head, down_head)
 """
 
@@ -109,6 +109,20 @@ MUTANTS = [
             "heads[action.stake]", "heads[action.size]"
         ),
         ["tests/test_cli.py", "tests/test_golden.py"],
+    ),
+    (
+        "draw seeded by the low 32 bits of the path seed",
+        "src/otl/market.py",
+        "draw = _random.Random(path_seed).random",
+        "draw = _random.Random(path_seed & 0xFFFFFFFF).random",
+        ["tests/test_market.py"],
+    ),
+    (
+        "master mix cached without its key",
+        "src/otl/market.py",
+        "_mix_master = functools.lru_cache(maxsize=1)(_splitmix64)",
+        "_mix_master = lambda master, first={}: first.setdefault(0, _splitmix64(master))",
+        ["tests/test_market.py"],
     ),
     (
         "drawdown peak starts at -inf",

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -705,29 +707,38 @@ class TestUnwritableOutputs:
 
     @pytest.mark.parametrize("fails_in", ["write", "close"])
     @pytest.mark.parametrize(
-        "argv, target",
+        "argv, target, n_paths",
         [
             (["simulate", "--config", "{config}", "--policy", "cutloss",
-              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "paths.csv"),
+              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "paths.csv", None),
             (["simulate", "--config", "{config}", "--policy", "cutloss",
-              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "stats.csv"),
+              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "stats.csv", None),
             (["compare", "--config", "{config}", "--policies", "cutloss,buyhold",
-              "--out", "{stats.csv}"], "stats.csv"),
-            (["solve", "--config", "{config}", "--out", "{q.csv}"], "q.csv"),
-            (["verify", "--suite", "price", "--json", "{report.json}"], "report.json"),
+              "--out", "{stats.csv}"], "stats.csv", None),
+            (["solve", "--config", "{config}", "--out", "{q.csv}"], "q.csv", None),
+            (["verify", "--suite", "price", "--json", "{report.json}"], "report.json", None),
+            # 1,000 paths of 6 steps, a path CSV of ~0.2 MB: several chunks of
+            # cli.OUTPUT_CHUNK characters, of which the second fails to write
+            (["simulate", "--config", "{config}", "--policy", "cutloss",
+              "--out", "{paths.csv}", "--stats-out", "{stats.csv}"], "paths.csv", 1000),
         ],
-        ids=["simulate-paths", "simulate-stats", "compare", "solve", "verify"],
+        ids=["simulate-paths", "simulate-stats", "compare", "solve", "verify",
+             "simulate-paths-chunks"],
     )
     def test_failed_write_or_close_exits_2(
-        self, config_file, tmp_path, capsys, monkeypatch, argv, target, fails_in
+        self, config_file, tmp_path, capsys, monkeypatch, argv, target, n_paths, fails_in
     ):
         # a full disk (/dev/full) fails a write, or the flush in close
+        writes = []  # the length of each text written to the target
+        fails_at = 1 if n_paths is None else 2  # and every write from then on fails
+
         class FullDisk:
             def __init__(self, fh):
                 self._fh = fh
 
             def write(self, text):
-                if fails_in == "write":
+                writes.append(len(text))
+                if fails_in == "write" and len(writes) >= fails_at:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return self._fh.write(text)
 
@@ -740,14 +751,49 @@ class TestUnwritableOutputs:
             fh = open(path, *args, **kwargs)
             return FullDisk(fh) if os.path.basename(path) == target else fh
 
+        if n_paths is not None:
+            with open(config_file, "w") as fh:
+                fh.write(BASE_CONFIG.replace("sim.paths = 200", f"sim.paths = {n_paths}"))
         monkeypatch.setattr(cli, "open", opener, raising=False)
         argv, outputs = _expand(argv, config_file, tmp_path)
-        assert main(argv) == EXIT_CONFIG
+        # every file is closed, the one that failed too: none is left to the collector
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(argv) == EXIT_CONFIG
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
         err = capsys.readouterr().err
         assert f"error: cannot write {tmp_path / target}: " in err
         assert "No space left on device" in err
         for name in outputs:
             assert not (tmp_path / name).exists()
+        if n_paths is not None:
+            if fails_in == "write":
+                assert len(writes) == 2  # the failed write is the last one tried
+            else:
+                assert len(writes) >= 3  # every chunk is written, then the close fails
+            assert writes[0] >= cli.OUTPUT_CHUNK
+
+    def test_close_closes_the_file_when_the_last_write_fails(self, tmp_path, monkeypatch):
+        calls = []
+
+        class FullDisk:
+            def write(self, text):
+                calls.append("write")
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                calls.append("close")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        out = cli._Output(str(tmp_path / "paths.csv"))
+        out.write("path_id\r\n")  # held until close, under one chunk
+        assert calls == []
+        with pytest.raises(ConfigurationError, match="No space left on device"):
+            out.close()
+        assert calls == ["write", "close"]
+        out.close()  # a second close, as a failed run makes, tries no write again
+        assert calls == ["write", "close", "close"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from otl import (
@@ -45,7 +47,60 @@ class TestSamplePath:
         assert abs(ups / n - 0.4) < half_width
 
 
+def oracle_moves(p_up, horizon, path_seed):
+    """The move-stream contract: the first `horizon` draws of random.Random(path_seed)."""
+    draw = random.Random(path_seed).random
+    return [Move.UP if draw() < p_up else Move.DOWN for _ in range(horizon)]
+
+
+@pytest.mark.parametrize("horizon", [20, 40])
+class TestDrawOracle:
+    # one and two 32-bit words, and each word's edges
+    @pytest.mark.parametrize("path_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345])
+    def test_seed(self, path_seed, horizon):
+        assert sample_moves(0.45, horizon, path_seed) == oracle_moves(0.45, horizon, path_seed)
+
+    def test_derived_seeds(self, horizon):
+        for i in range(10_000):
+            seed = derive_path_seed(1, i)
+            assert sample_moves(0.45, horizon, seed) == oracle_moves(0.45, horizon, seed), i
+
+    # a generator seeded by anything but an int hashes it, and a str's hash
+    # changes from one process to the next
+    @pytest.mark.parametrize("path_seed", ["12345", 12345.0])
+    def test_seed_must_be_an_integer(self, path_seed, horizon):
+        with pytest.raises(ValidationError, match="path_seed"):
+            sample_moves(0.45, horizon, path_seed)
+
+    def test_numpy_integer_seed_is_its_int(self, horizon):
+        seed = np.uint64(2**64 - 1)
+        assert sample_moves(0.45, horizon, seed) == oracle_moves(0.45, horizon, 2**64 - 1)
+
+
+MASK = (1 << 64) - 1
+
+
+def splitmix64(x):
+    x = (x + 0x9E3779B97F4A7C15) & MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+
 class TestSeedDerivation:
+    def test_splitmix64_reference_outputs(self):
+        # the first two outputs of SplitMix64 started from state 0
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+
+    def test_formula(self):
+        # the master seed changes on every call, so a cache that ignores its key fails
+        masters = [0, 1, -1, 2**64 - 1, 2**64]
+        for i in [*range(200), -1, 2**64 - 1, 2**64, 2**70 + 3]:
+            for m in masters:
+                want = splitmix64(splitmix64(m & MASK) ^ (i & MASK))
+                assert derive_path_seed(m, i) == want, (m, i)
+
     def test_pure_function(self):
         assert derive_path_seed(42, 7) == derive_path_seed(42, 7)
 
