@@ -5,15 +5,16 @@ Three belief kinds are shipped:
 * ``Static`` -- a fixed up-probability that never learns.
 * ``Mirror`` -- keeps a confidence level but snaps its favored direction to
   the most recently observed move.
-* ``BetaBernoulli`` -- standard conjugate counting prior; predictive is the
-  posterior mean.
+* ``BetaBernoulli`` -- standard conjugate counting prior, its counts kept
+  as floats; predictive is the posterior mean.
 
 Beliefs are immutable values; ``update`` returns a new belief.
 
 ``lattice_of`` gives the beliefs reachable at each t of a horizon, of at
 most ``MAX_STAGE_STATES`` states: an exact ``Static``, ``Mirror`` or
-``BetaBernoulli`` with float counts builds it in closed form, every other
-belief (a subclass too) by the forward closure over its own ``update``.
+``BetaBernoulli`` builds it in closed form, every other belief (a subclass
+too, or beta counts that reach 2**53) by the forward closure over its own
+``update``.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class Mirror(Belief):
 
 @dataclass(frozen=True)
 class BetaBernoulli(Belief):
-    """Beta(alpha, beta) counting prior over the up-probability."""
+    """Beta(alpha, beta) counting prior over the up-probability, each count
+    kept as a Python float (an int count too: its id reads beta(3.0,2.0))."""
 
     alpha: float
     beta: float
@@ -101,26 +103,17 @@ class BetaBernoulli(Belief):
     def __post_init__(self) -> None:
         # every update() pays this one test; predictive() divides by the sum
         a, b = self.alpha, self.beta
-        try:
-            if (type(a) is int or type(a) is float) and (type(b) is int or type(b) is float):
-                if a > 0 and b > 0 and math.isfinite(a + b):
-                    return
-        except OverflowError:  # an int sum beyond float64
-            pass
-        # a count of another type (bool, float32, Fraction, Decimal) is kept as a float
-        for name, count in (("alpha", self.alpha), ("beta", self.beta)):
+        if type(a) is float and type(b) is float and a > 0 and b > 0 and math.isfinite(a + b):
+            return
+        # a count of another type (int, bool, float32, Fraction, Decimal) is kept as a float
+        for name, count in (("alpha", a), ("beta", b)):
             check_finite(count, f"BetaBernoulli {name}")
             check_in(count, lambda c: c > 0, f"BetaBernoulli {name} must be > 0")
-            if type(count) is not int:
-                object.__setattr__(self, name, float(count))
-        try:
-            if math.isfinite(self.alpha + self.beta):
-                return
-        except OverflowError:  # an int sum beyond float64
-            pass
-        raise ValidationError(
-            f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
-        )
+            object.__setattr__(self, name, float(count))
+        if not math.isfinite(self.alpha + self.beta):
+            raise ValidationError(
+                f"BetaBernoulli counts must have a finite sum, got ({self.alpha}, {self.beta})"
+            )
 
     def predictive(self) -> float:
         return self.alpha / (self.alpha + self.beta)
@@ -172,7 +165,8 @@ class Lattice:
     the kind builds ids faster (`_BetaCounts` formats each count once).
     `lattice_of` builds one, of at most MAX_STAGE_STATES states: the closed
     forms `_LastMove` (Static, Mirror; one or two rows per layer) and
-    `_BetaCounts` (t + 1 rows), or the closure `_Layers`.
+    `_BetaCounts` (BetaBernoulli; t + 1 rows), or the closure `_Layers`,
+    which only subclasses, other kinds and saturated beta counts get.
     """
 
     def __init__(self, T: int, start: Sequence[int]):
@@ -221,16 +215,16 @@ class _Layers(Lattice):
 def lattice_of(b0: Belief, T: int) -> Lattice:
     """The beliefs reachable from b0 at t = 0..T, of at most MAX_STAGE_STATES
     states: a closed form for an exact `Static` or `Mirror` (one or two rows
-    per layer) and for an exact `BetaBernoulli` whose float counts keep
-    growing by 1, else the forward closure over b0's own `update`; a
+    per layer) and for an exact `BetaBernoulli` whose counts keep growing
+    by 1 (below 2**53), else the forward closure over b0's own `update`; a
     subclass may update otherwise, so it always gets the closure."""
     _check_states(T + 1, T)  # every layer has at least one row
     if type(b0) is Static or type(b0) is Mirror:
         return _LastMove(b0, T)
-    priors = (b0.alpha, b0.beta) if type(b0) is BetaBernoulli else ()
-    if priors and all(type(c) is float for c in priors):
+    if type(b0) is BetaBernoulli:
         # the counts after 0..T updates, adding 1 in turn as `update` does
-        counts = [np.add.accumulate(np.concatenate(([c], np.ones(T)))) for c in priors]
+        ones = np.ones(T)
+        counts = [np.add.accumulate(np.concatenate(([c], ones))) for c in (b0.alpha, b0.beta)]
         if all((seq[1:] > seq[:-1]).all() for seq in counts):
             return _BetaCounts(counts, T)
     return _closure(b0, T)
@@ -304,8 +298,8 @@ class _BetaCounts(Lattice):
     def _state(self, t: int, belief: Belief) -> int | None:
         if type(belief) is not BetaBernoulli:
             return None
-        k = self._beta_at.get(belief.beta, t + 1)  # row k holds alphas[t - k]; float(): exact ==
-        return None if k > t or float(self._alphas[t - k]) != belief.alpha else self.start[t] + k
+        k = self._beta_at.get(belief.beta, t + 1)  # row k holds alphas[t - k]
+        return None if k > t or self._alphas[t - k] != belief.alpha else self.start[t] + k
 
     def _beliefs(self, t: int) -> list[Belief]:
         return list(map(BetaBernoulli, self._alphas[t::-1].tolist(), self._betas[: t + 1].tolist()))

@@ -125,6 +125,20 @@ MUTANTS = [
         ["tests/test_market.py"],
     ),
     (
+        "beta fast path keeps int counts as ints",
+        "src/otl/beliefs.py",
+        "if type(a) is float and type(b) is float and a > 0",
+        "if type(a) in (int, float) and type(b) in (int, float) and a > 0",
+        ["tests/test_beliefs.py", "tests/test_mdp.py", "tests/test_cli.py"],
+    ),
+    (
+        "beta closed form for a subclass too",
+        "src/otl/beliefs.py",
+        "if type(b0) is BetaBernoulli:",
+        "if isinstance(b0, BetaBernoulli):",
+        ["tests/test_beliefs.py", "tests/test_mdp.py", "tests/test_cli.py"],
+    ),
+    (
         "drawdown peak starts at -inf",
         "src/otl/sim.py",
         "wealth = peak = model.initial_wealth",

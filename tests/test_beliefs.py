@@ -18,6 +18,11 @@ from otl import beliefs
 from otl.beliefs import _closure, lattice_of
 
 
+class BetaSubclass(BetaBernoulli):
+    """A `BetaBernoulli` subclass that inherits `update`: `lattice_of` gives
+    it the closure all the same, as a subclass may update otherwise."""
+
+
 class TestPredictive:
     def test_static_identity(self):
         assert Static(0.6).predictive() == 0.6
@@ -93,13 +98,27 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             BetaBernoulli(1, -2)
 
+    def test_beta_int_counts_are_floats(self):
+        b = BetaBernoulli(3, 2)
+        assert (b.alpha, b.beta) == (3.0, 2.0)
+        assert (type(b.alpha), type(b.beta)) == (float, float)
+        assert b == BetaBernoulli(3.0, 2.0) and hash(b) == hash(BetaBernoulli(3.0, 2.0))
+        assert belief_id(b) == "beta(3.0,2.0)"
+        # so int counts take the closed form, as float counts do
+        for counts in ((3, 2), (1, 2.5)):
+            lattice = lattice_of(BetaBernoulli(*counts), 10)
+            assert type(lattice) is beliefs._BetaCounts
+            assert lattice.ids(10) == lattice_of(BetaBernoulli(*map(float, counts)), 10).ids(10)
+        # an int count beyond 2**53 is the float it rounds to, as a Fraction count is
+        assert BetaBernoulli(2**53 + 1, 1) == BetaBernoulli(2.0**53, 1.0)
+
     def test_beta_bool_counts_are_floats(self):
-        # True + True is an int, but a bool count is not one: each count's own type decides
+        # a bool count, like an int one, is stored as a float
         ones = BetaBernoulli(True, True)
         assert ones == BetaBernoulli(1.0, 1.0)
         assert (type(ones.alpha), type(ones.beta)) == (float, float)
         mixed = [BetaBernoulli(True, 2.0), BetaBernoulli(2, True)]
-        assert [(type(b.alpha), type(b.beta)) for b in mixed] == [(float, float), (int, float)]
+        assert [(type(b.alpha), type(b.beta)) for b in mixed] == [(float, float), (float, float)]
         assert type(lattice_of(ones, 3)) is type(lattice_of(BetaBernoulli(1.0, 1.0), 3))
         assert lattice_of(ones, 1).ids(1) == ["beta(2.0,1.0)", "beta(1.0,2.0)"]
         with pytest.raises(ValidationError, match="BetaBernoulli alpha must be > 0, got False"):
@@ -117,8 +136,9 @@ class TestInvariants:
 
     def test_beta_rejects_counts_whose_sum_overflows(self):
         # alpha / (alpha + beta) would read 0.0 where it is 0.5
-        with pytest.raises(ValidationError, match=r"finite sum, got \(1e\+308, 1e\+308\)"):
-            BetaBernoulli(1e308, 1e308)
+        for big in (1e308, 10**308):
+            with pytest.raises(ValidationError, match=r"finite sum, got \(1e\+308, 1e\+308\)"):
+                BetaBernoulli(big, big)
         assert BetaBernoulli(8e307, 8e307).predictive() == 0.5
 
     @given(st.floats(0.001, 0.999))
@@ -161,9 +181,9 @@ class TestInvariants:
 
 def assert_same_lattice(b0, T):
     """b0's lattice (`lattice_of`) equals the generic forward closure, row
-    for row and bit for bit. An exact Static or Mirror and float beta counts
-    that keep growing have a closed form; for every other belief both are
-    the closure, and this checks its ids and rows."""
+    for row and bit for bit. An exact Static or Mirror and an exact beta
+    whose counts keep growing have a closed form; for every other belief
+    both are the closure, and this checks its ids and rows."""
     closed = lattice_of(b0, T)
     oracle = _closure(b0, T)
     assert list(closed.start) == list(oracle.start)
@@ -171,7 +191,7 @@ def assert_same_lattice(b0, T):
     for t in range(T + 1):
         layer = oracle.beliefs(t)
         assert closed.beliefs(t) == layer
-        # ids tell an int count from a float one, and repr is exact
+        # repr is exact, so equal ids mean equal counts
         assert closed.ids(t) == oracle.ids(t) == [belief_id(b) for b in layer]
         states = list(range(closed.start[t], closed.start[t + 1]))
         assert [closed.state(t, b) for b in layer] == [oracle.state(t, b) for b in layer] == states
@@ -199,20 +219,22 @@ SHIPPED = [
     BetaBernoulli(1e-3, 1e-3),
     BetaBernoulli(0.1, 2.7),
     BetaBernoulli(2.7, 0.1),
-    BetaBernoulli(3, 2),  # int counts: the closure, ints kept in ids
+    BetaBernoulli(3, 2),  # int counts: stored as floats, the closed form
     BetaBernoulli(1, 2.5),
     BetaBernoulli(2.0**53 - 2, 1.0),  # alpha saturates within the horizon
     BetaBernoulli(2.0**53, 2.0**53),  # both counts saturated from the start
     BetaBernoulli(2**53, 1),
+    BetaSubclass(3, 2),  # a subclass: the closure
+    BetaSubclass(1.0, 1.0),
 ]
 
-# beta counts the closed form does not take
+# beta beliefs the closed form does not take
 FALLBACK = [
     BetaBernoulli(2.0**53 - 2, 1.0),
     BetaBernoulli(2.0**53, 2.0**53),
     BetaBernoulli(2**53, 1),
-    BetaBernoulli(3, 2),
-    BetaBernoulli(1, 2.5),
+    BetaSubclass(3, 2),
+    BetaSubclass(1, 2.5),
 ]
 
 
@@ -228,7 +250,7 @@ class TestLattice:
         assert_same_lattice(BetaBernoulli(alpha, beta), T)
 
     @pytest.mark.parametrize("b0", FALLBACK, ids=repr)
-    def test_saturated_or_non_float_counts_use_the_closure(self, b0):
+    def test_saturated_counts_or_subclasses_use_the_closure(self, b0):
         closure = type(_closure(b0, 10))
         assert type(lattice_of(b0, 10)) is closure
         for closed in (BetaBernoulli(1.0, 1.0), Static(0.6), Mirror(0.6, Move.DOWN)):
@@ -257,7 +279,9 @@ class TestLattice:
         for t in range(T + 1, -2, -1):
             assert lattice.ids(t) == list(map(belief_id, lattice.beliefs(t)))
 
-    @pytest.mark.parametrize("b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2)], ids=repr)
+    @pytest.mark.parametrize(
+        "b0", [BetaBernoulli(1 / 3, 1.0), BetaBernoulli(3, 2), BetaSubclass(3, 2)], ids=repr
+    )
     def test_beta_rows_reached_at_another_t_are_none(self, b0):
         T = 6
         lattice = lattice_of(b0, T)
@@ -269,9 +293,13 @@ class TestLattice:
     def test_beta_rows_compare_counts_exactly(self):
         lattice = lattice_of(BetaBernoulli(2.0**53 - 2, 1.0), 2)  # alpha reaches 2**53 at t=2
         assert type(lattice) is not type(_closure(BetaBernoulli(1.0, 1.0), 2))
-        # an int count names the row of the float it equals, and only that
+        # a count one float away names no row
+        assert lattice.state(2, BetaBernoulli(2.0**53, 1.0)) == 3
+        assert lattice.state(2, BetaBernoulli(2.0**53 + 2, 1.0)) is None
+        assert lattice.state(2, BetaBernoulli(2.0**53 - 1, 1.0)) is None
+        # an int count is stored as the float it rounds to, and names that float's row
         assert lattice.state(2, BetaBernoulli(2**53, 1.0)) == 3
-        assert lattice.state(2, BetaBernoulli(2**53 + 1, 1.0)) is None
+        assert lattice.state(2, BetaBernoulli(2**53 + 1, 1.0)) == 3
         assert lattice.state(1, BetaBernoulli(2**53 - 1, 1)) == 1
         assert lattice.state(2, BetaBernoulli(2**53 - 2, 3)) == 5
 
@@ -280,6 +308,7 @@ class TestLattice:
         [
             (BetaBernoulli(1.0, 1.0), 1412, 10**6),
             (BetaBernoulli(3, 2), 12, 100),
+            (BetaSubclass(3, 2), 12, 100),
             (Static(0.6), 99, 100),
             (Mirror(0.6), 50, 101),
         ],

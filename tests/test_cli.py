@@ -25,6 +25,7 @@ from otl.market import derive_path_seed, sample_moves
 from otl.mdp import DecisionProblem, solve_q
 from otl.policies import POLICY_KINDS, make_policy
 from otl.sim import replay
+from test_beliefs import BetaSubclass
 
 BASE_CONFIG = """\
 # desk defaults
@@ -297,8 +298,10 @@ class TestSolveCommand:
             DecisionProblem(20, (10.0, -10.0), BetaBernoulli(1.0, 1.0)),
             # layers narrower and wider than a block
             DecisionProblem(200, (10.0, -10.0), BetaBernoulli(1.0, 1.0)),
-            # int counts: the forward closure
+            # int counts: stored as floats, the closed form
             DecisionProblem(30, (10.0, -10.0), BetaBernoulli(3, 2)),
+            # a subclass: the forward closure
+            DecisionProblem(30, (10.0, -10.0), BetaSubclass(3, 2)),
             # sized actions on uneven ticks: the argmax is not always column 0
             DecisionProblem(
                 40, (1.5, -0.5), BetaBernoulli(1.0, 1.0), tuple(map(Action, (0, 1, -1, 2, -3)))

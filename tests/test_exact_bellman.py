@@ -15,6 +15,7 @@ import pytest
 from otl import LONG, NEUTRAL, SHORT, Action, BetaBernoulli, DecisionProblem, Mirror, Move, Static
 from otl import solve_q
 from otl.mdp import DEFAULT_ACTIONS
+from test_beliefs import BetaSubclass
 
 # solve_q's Q_1(s_0, a) lies within ULPS_PER_STEP * T ulps of max(|Q|, 1),
 # the largest |Q| of the row at s_0, of the exact value: twice the worst,
@@ -27,7 +28,7 @@ BELIEFS = (
     Mirror(0.6, Move.UP),
     BetaBernoulli(3.0, 2.0),
     BetaBernoulli(0.5, 2.5),
-    BetaBernoulli(3, 2),  # int counts: the closure's lattice
+    BetaSubclass(3, 2),  # a subclass, int counts stored as floats: the closure's lattice
 )
 TICKS = ((10.0, -10.0), (1.5, -0.5), (0.1, -0.3))
 ACTION_SETS = (DEFAULT_ACTIONS, (NEUTRAL, LONG, SHORT, Action(2), Action(-3)))

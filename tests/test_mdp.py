@@ -512,7 +512,8 @@ class TestOccupancyIdentity:
             (Mirror(0.6), 2000),
             (BetaBernoulli(1.0, 1.0), 1000),
             (BetaBernoulli(0.5, 0.5), 300),
-            (BetaBernoulli(3, 2), 40),  # int counts: the closure
+            (BetaBernoulli(3, 2), 40),  # int counts: stored as floats, the closed form
+            (_Heavy(3, 2), 40),  # a subclass: the closure
         ],
         ids=repr,
     )
@@ -540,14 +541,27 @@ class TestNumberTypes:
         assert qs.dtype == np.float64
         assert qs.tolist() == solve_q(problem(3, Static(float(q)))).qs.tolist()
 
-    @pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+    @pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction, int])
     def test_beta_counts_solved_as_float_counts(self, kind):
         # float32 counts once gave a float32 predictive on the closure
         # (6.571429769198113), Decimal a TypeError inside the solve, and
-        # Fraction the closure
+        # Fraction and int counts the closure
         b0 = BetaBernoulli(kind(3), kind(2))
         assert type(b0.alpha) is float and type(b0.beta) is float
         table = solve_q(problem(3, b0))
         assert type(table.lattice) is beliefs._BetaCounts
         assert table.q(0, b0, LONG) == 6.571428571428569
         assert table.qs.tolist() == solve_q(problem(3, BetaBernoulli(3.0, 2.0))).qs.tolist()
+
+    def test_int_counts_solved_in_closed_form(self):
+        # the closure would keep ~207 B per state here, the closed form ~33
+        floats = solve_q(problem(300, BetaBernoulli(1.0, 1.0)))
+        tracemalloc.start()
+        try:
+            table = solve_q(problem(300, BetaBernoulli(1, 1)))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert type(table.lattice) is beliefs._BetaCounts
+        assert np.array_equal(table.qs, floats.qs) and np.array_equal(table.best, floats.best)
+        assert kept / table.lattice.start[-1] <= 40

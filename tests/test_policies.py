@@ -24,10 +24,18 @@ from otl import (
 )
 from otl.policies import POLICY_KINDS, bellman
 from otl.sim import replay
+from test_beliefs import BetaSubclass
 
 TICKS = (10.0, -10.0)
-# one belief of each lattice kind: the closed forms and the closure
-BELLMAN_BELIEFS = [BetaBernoulli(1.0, 1.0), BetaBernoulli(3, 2), Static(0.6), Mirror(0.6, Move.UP)]
+# one belief of each lattice kind: the closed forms (int beta counts are
+# stored as floats and take one too) and the closure (a subclass)
+BELLMAN_BELIEFS = [
+    BetaBernoulli(1.0, 1.0),
+    BetaBernoulli(3, 2),
+    BetaSubclass(3, 2),
+    Static(0.6),
+    Mirror(0.6, Move.UP),
+]
 
 
 def after(pol, *moves):

@@ -34,6 +34,7 @@ from otl.beliefs import _BetaCounts, _LastMove, _Layers
 from otl.errors import ResourceLimitError
 from otl.policies import POLICY_KINDS
 from otl.sim import MAX_PATH_STEPS, SimConfig, WealthPath, replay
+from test_beliefs import BetaSubclass
 
 TICKS = (10.0, -10.0)
 
@@ -324,10 +325,11 @@ class TestRowWalk:
         [
             (Static(0.6), _LastMove),  # closed forms: one row per layer,
             (Mirror(0.6, Move.UP), _LastMove),  # and two after t = 0
-            (BetaBernoulli(3, 2), _Layers),  # int counts: the closure
+            (BetaBernoulli(3, 2), _BetaCounts),  # int counts: stored as floats, the closed form
             (BetaBernoulli(3.0, 2.0), _BetaCounts),  # float counts: the closed form
+            (BetaSubclass(3.0, 2.0), _Layers),  # a subclass: the closure
         ],
-        ids=["static", "mirror", "beta-int", "beta-float"],
+        ids=["static", "mirror", "beta-int", "beta-float", "beta-subclass"],
     )
     @pytest.mark.parametrize("T", range(9))
     def test_rows_follow_update_on_every_path(self, belief0, lattice_kind, T):
