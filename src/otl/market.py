@@ -146,22 +146,24 @@ def price_process(model: MarketModel, div: DividendSpec, horizon: int) -> float:
     return vals[0]
 
 
-def expected_dividend_by_enumeration(model: MarketModel, div: DividendSpec, horizon: int) -> float:
-    """Oracle for price_process: a depth-first walk over the move tree
-    steps each prefix's probability and dividends once (2^(T+1) - 2 steps)
-    and weights each leaf by its path's probability, the left-to-right
-    product of its moves' weights."""
+def expected_dividend_by_enumeration(
+    model: MarketModel, div: DividendSpec, horizon: int
+) -> list[float]:
+    """Oracle for price_process at every T <= horizon: one depth-first walk
+    steps each prefix's probability and dividends once (2^(horizon+1) - 2
+    steps); depth-T nodes, in itertools.product order, Up first, add to
+    totals[T], each weighted by the left-to-right product of its moves' weights."""
     horizon = check_horizon(horizon)
     moves = ((model.d, 1.0 - model.p_up), (model.u, model.p_up))  # (tick, weight)
-    total = 0.0
-    # Down is pushed first, so Up pops first: itertools.product order
+    totals = [0.0] * (horizon + 1)
+    # Down is pushed first, so Up pops first
     stack = [(0, div.initial_level, 1.0, 0.0)]
     while stack:
         t, level, prob, acc = stack.pop()
+        totals[t] += prob * (acc + div.terminal_payoff(level))
         if t == horizon:
-            total += prob * (acc + div.terminal_payoff(level))
             continue
         for tick, weight in moves:
             child = level + tick
             stack.append((t + 1, child, prob * weight, acc + div.per_step_dividend(t + 1, child)))
-    return total
+    return totals

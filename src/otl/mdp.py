@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import LONG, NEUTRAL, SHORT, Action, check_int, check_ticks, shown
-from .beliefs import Belief, Lattice, lattice_of
-from .errors import UnreachableStateError, ValidationError
+from .beliefs import MAX_STAGE_STATES, Belief, Lattice, lattice_of
+from .errors import ResourceLimitError, UnreachableStateError, ValidationError
 
 DEFAULT_ACTIONS: tuple[Action, ...] = (NEUTRAL, LONG, SHORT)
 
 # solve_q runs its backward pass in Python floats when no lattice layer has
 # more rows than this, the measured crossover with the numpy broadcast
 SCALAR_MAX_ROWS = 16
+# the most Q entries (states x actions) solve_q allocates; a config has at
+# most 3 actions, so only a wider API action set can reach it
+MAX_Q_ENTRIES = 3 * MAX_STAGE_STATES
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,8 @@ def solve_q(problem: DecisionProblem) -> QTable:
     T = problem.horizon
     lattice = lattice_of(problem.initial_belief, T)
     start = lattice.start
+    if start[T] * len(problem.action_set) > MAX_Q_ENTRIES:
+        raise ResourceLimitError(f"Q-table exceeds {MAX_Q_ENTRIES} entries at horizon {T}")
     u, d = problem.ticks
     r_up = [a.stake * u for a in problem.action_set]
     r_dn = [a.stake * d for a in problem.action_set]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .actions import LONG, NEUTRAL, SHORT, Action, Move, check_ticks
+from .actions import DOWN, LONG, NEUTRAL, SHORT, UP, Action, Move, check_ticks
 from .beliefs import Belief, BetaBernoulli, Mirror, Static
 from .market import (
     DividendSpec,
@@ -82,46 +82,50 @@ class Report:
 
 def enumeration_q(
     belief: Belief,
-    action: Action,
     horizon: int,
     ticks: tuple[float, float],
     action_set: Sequence[Action] = DEFAULT_ACTIONS,
-) -> float:
-    """Oracle Q-value by brute enumeration of all 2^T move paths: a
-    depth-first walk steps each prefix's belief, probability and payoff
-    once (2^(T+1) - 2 steps; leaves in itertools.product order, Up first).
-    The first step plays `action`, later ones the myopic argmax. No table,
-    no backward pass: this shares nothing with the solver. `ticks` is
-    (u, d), finite with u > 0 > d; `horizon` is in [0, MAX_ENUM_HORIZON].
-    """
+) -> list[list[float]]:
+    """Oracle Q-values by brute enumeration of all 2^T move paths, at every
+    T <= horizon: one depth-first walk steps each prefix's belief,
+    probability and payoffs once (2^(horizon+1) - 2 steps); depth-T nodes,
+    in itertools.product order, Up first, add to qs[T][i], the Q-value of
+    action_set[i] at T. Column i plays action_set[i] first, then the myopic
+    argmax. No table, no backward pass: this shares nothing with the solver.
+    `ticks` is (u, d), finite with u > 0 > d; `horizon` in [0, MAX_ENUM_HORIZON]."""
     u, d = check_ticks(ticks, "enumeration_q ticks")
     horizon = check_horizon(horizon)
-    total = 0.0
+    n = len(action_set)
+    qs = [[0.0] * n for _ in range(horizon + 1)]
+    first = [a.stake for a in action_set]
     # Down is pushed first, so Up pops first
-    stack = [(belief, 0, 1.0, 0.0)]
+    stack = [(belief, 0, 1.0, [0.0] * n)]
     while stack:
-        b, t, prob, payoff = stack.pop()
+        b, t, prob, payoffs = stack.pop()
+        qs[t] = [q + prob * p for q, p in zip(qs[t], payoffs)]
         if t == horizon:
-            total += prob * payoff
             continue
         q_up = b.predictive()
-        a = action
+        stakes = first
         if t:
             # Moves are exogenous, so the continuation value is shared
             # by every action and the optimal choice reduces to the
             # one-step expectation, the stake times that of one long
             # unit; max keeps the first maximum, the solver's tie-break.
             unit = q_up * u + (1.0 - q_up) * d
-            a = max(action_set, key=lambda a: a.stake * unit)
-        stack.append((b.update(Move.DOWN), t + 1, prob * (1.0 - q_up), payoff + a.stake * d))
-        stack.append((b.update(Move.UP), t + 1, prob * q_up, payoff + a.stake * u))
-    return total
+            stakes = [max(action_set, key=lambda a: a.stake * unit).stake] * n
+        up = [p + s * u for p, s in zip(payoffs, stakes)]
+        down = [p + s * d for p, s in zip(payoffs, stakes)]
+        stack.append((b.update(DOWN), t + 1, prob * (1.0 - q_up), down))
+        stack.append((b.update(UP), t + 1, prob * q_up, up))
+    return qs
 
 
 def check_bellman() -> Report:
     """Solver output vs full-tree enumeration for every belief kind."""
     report = Report(suite="bellman")
     for name, belief in BELIEF_GRID:
+        oracle = enumeration_q(belief, BELLMAN_MAX_HORIZON, TICKS)
         for T in range(BELLMAN_MAX_HORIZON + 1):
             problem = DecisionProblem(horizon=T, ticks=TICKS, initial_belief=belief)
             table = solve_q(problem)
@@ -129,9 +133,8 @@ def check_bellman() -> Report:
             if T == 0:
                 max_dev = abs(table.value(0, belief))
             else:
-                for a in problem.action_set:
-                    oracle = enumeration_q(belief, a, T, TICKS, problem.action_set)
-                    max_dev = max(max_dev, abs(table.q(0, belief, a) - oracle))
+                for a, q in zip(problem.action_set, oracle[T]):
+                    max_dev = max(max_dev, abs(table.q(0, belief, a) - q))
             report.add(
                 f"{name} T={T}: solver matches 2^T enumeration",
                 max_dev <= ORACLE_TOL,
@@ -238,10 +241,10 @@ def check_price() -> Report:
         per_step_dividend=lambda t, level: 0.01 * level,
         terminal_payoff=lambda level: level,
     )
-    for T in range(PRICE_MAX_HORIZON + 1):
-        model = MarketModel(u=2.0, d=-1.0, p_up=0.55)
+    model = MarketModel(u=2.0, d=-1.0, p_up=0.55)
+    totals = expected_dividend_by_enumeration(model, coupon, PRICE_MAX_HORIZON)
+    for T, enumerated in enumerate(totals):
         induced = price_process(model, coupon, T)
-        enumerated = expected_dividend_by_enumeration(model, coupon, T)
         report.add(
             f"coupon stream T={T}: induction matches enumeration",
             abs(induced - enumerated) <= ORACLE_TOL,

@@ -57,20 +57,20 @@ MUTANTS = [
         "enumeration pushes Up before Down",
         "src/otl/verify.py",
         """\
-        stack.append((b.update(Move.DOWN), t + 1, prob * (1.0 - q_up), payoff + a.stake * d))
-        stack.append((b.update(Move.UP), t + 1, prob * q_up, payoff + a.stake * u))
+        stack.append((b.update(DOWN), t + 1, prob * (1.0 - q_up), down))
+        stack.append((b.update(UP), t + 1, prob * q_up, up))
 """,
         """\
-        stack.append((b.update(Move.UP), t + 1, prob * q_up, payoff + a.stake * u))
-        stack.append((b.update(Move.DOWN), t + 1, prob * (1.0 - q_up), payoff + a.stake * d))
+        stack.append((b.update(UP), t + 1, prob * q_up, up))
+        stack.append((b.update(DOWN), t + 1, prob * (1.0 - q_up), down))
 """,
         ["tests/test_verify.py"],
     ),
     (
         "enumeration weighs Down by q_up",
         "src/otl/verify.py",
-        "t + 1, prob * (1.0 - q_up), payoff + a.stake * d",
-        "t + 1, prob * q_up, payoff + a.stake * d",
+        "t + 1, prob * (1.0 - q_up), down",
+        "t + 1, prob * q_up, down",
         ["tests/test_verify.py"],
     ),
     (
@@ -78,6 +78,20 @@ MUTANTS = [
         "src/otl/verify.py",
         "        if t:\n",
         "        if True:\n",
+        ["tests/test_verify.py"],
+    ),
+    (
+        "enumeration plays the first action first in every column",
+        "src/otl/verify.py",
+        "first = [a.stake for a in action_set]",
+        "first = [action_set[0].stake] * n",
+        ["tests/test_verify.py"],
+    ),
+    (
+        "dividend walk pays the terminal payoff only at the horizon",
+        "src/otl/market.py",
+        "totals[t] += prob * (acc + div.terminal_payoff(level))",
+        "totals[t] += prob * (acc + (div.terminal_payoff(level) if t == horizon else 0.0))",
         ["tests/test_verify.py"],
     ),
     (

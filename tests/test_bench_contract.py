@@ -98,6 +98,18 @@ def test_verify_price(tmp_path):
     assert counts["verify.cases"] == 20
     assert counts["verify.cases_failed"] == 0
     assert calls["verify.suite.price"] == 1
-    assert calls["market.expected_dividend_by_enumeration"] == 13
+    # one walk to the largest horizon gives the coupon stream at every T
+    assert calls["market.expected_dividend_by_enumeration"] == 1
     assert calls["market.enumerate_paths"] == 0
     assert calls["market.price_process"] == 20
+
+
+def test_verify_bellman(tmp_path):
+    argv = ["verify", "--suite", "bellman", "--json", "{out:report}"]
+    counts, calls = _trace(tmp_path, None, argv)
+    assert counts["verify.cases"] == 27
+    assert counts["verify.cases_failed"] == 0
+    assert calls["verify.suite.bellman"] == 1
+    # one oracle walk per belief gives every horizon and first action
+    assert calls["verify.enumeration_q"] == 3
+    assert calls["mdp.solve_q"] == 27

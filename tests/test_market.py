@@ -205,7 +205,7 @@ class TestPriceProcess:
             initial_level=100.0,
         )
         assert price_process(m, coupon, T) == pytest.approx(
-            expected_dividend_by_enumeration(m, coupon, T), abs=1e-9
+            expected_dividend_by_enumeration(m, coupon, T)[T], abs=1e-9
         )
 
     def test_bound_enforced(self):

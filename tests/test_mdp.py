@@ -162,6 +162,26 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_wide_action_set_rejected_before_the_table_is_allocated(self, monkeypatch):
+        # 500,500 states x 1,000 actions, past 3 x MAX_STAGE_STATES: a 4 GB table
+        def backward_pass(*args):
+            raise AssertionError("the backward pass ran")
+
+        monkeypatch.setattr(mdp, "_scalar_pass", backward_pass)
+        monkeypatch.setattr(mdp, "_numpy_pass", backward_pass)
+        actions = tuple(Action(k) for k in range(-499, 501))
+        msg = "Q-table exceeds 3000000 entries at horizon 1000"
+        with pytest.raises(ResourceLimitError, match=msg):
+            solve_q(problem(1000, BetaBernoulli(1, 1), action_set=actions))
+
+    def test_q_entry_bound_is_inclusive(self, monkeypatch):
+        # Static at T=10: 10 states before the horizon x 3 actions
+        monkeypatch.setattr(mdp, "MAX_Q_ENTRIES", 30)
+        assert solve_q(problem(10, Static(0.6))).qs.size == 30
+        monkeypatch.setattr(mdp, "MAX_Q_ENTRIES", 29)
+        with pytest.raises(ResourceLimitError, match="exceeds 29 entries at horizon 10"):
+            solve_q(problem(10, Static(0.6)))
+
 
 BELIEFS = [Static(0.6), Static(0.35), Mirror(0.7, Move.UP), BetaBernoulli(3, 2)]
 
@@ -195,11 +215,11 @@ class TestInvariants:
     def test_oracle_equivalence(self, belief, T):
         prob = problem(T, belief)
         table = solve_q(prob)
-        for a in prob.action_set:
+        oracle = enumeration_q(belief, T, TICKS, prob.action_set)[T]
+        for a, q in zip(prob.action_set, oracle, strict=True):
             if T == 0:
                 continue
-            oracle = enumeration_q(belief, a, T, TICKS, prob.action_set)
-            assert table.q(0, belief, a) == pytest.approx(oracle, abs=1e-9)
+            assert table.q(0, belief, a) == pytest.approx(q, abs=1e-9)
 
     @pytest.mark.parametrize("T", range(1, 7))
     def test_beta_subclass_solves_over_its_own_update(self, T):
@@ -208,9 +228,9 @@ class TestInvariants:
         prob = problem(T, b0)
         table = solve_q(prob)
         assert type(table.lattice) is _Layers
-        for a in prob.action_set:
-            oracle = enumeration_q(b0, a, T, TICKS, prob.action_set)
-            assert table.q(0, b0, a) == pytest.approx(oracle, abs=ORACLE_TOL)
+        oracle = enumeration_q(b0, T, TICKS, prob.action_set)[T]
+        for a, q in zip(prob.action_set, oracle, strict=True):
+            assert table.q(0, b0, a) == pytest.approx(q, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("b0", [_Drifting(0.6), _Stubborn(0.7, Move.UP)], ids=repr)
     @pytest.mark.parametrize("T", range(1, 7))
@@ -219,9 +239,9 @@ class TestInvariants:
         prob = problem(T, b0)
         table = solve_q(prob)
         assert type(table.lattice) is _Layers
-        for a in prob.action_set:
-            oracle = enumeration_q(b0, a, T, TICKS, prob.action_set)
-            assert table.q(0, b0, a) == pytest.approx(oracle, abs=ORACLE_TOL)
+        oracle = enumeration_q(b0, T, TICKS, prob.action_set)[T]
+        for a, q in zip(prob.action_set, oracle, strict=True):
+            assert table.q(0, b0, a) == pytest.approx(q, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("belief", BELIEFS, ids=str)
     def test_bellman_consistency(self, belief):

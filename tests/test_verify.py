@@ -138,12 +138,12 @@ class TestCheckers:
     def test_oracle_rejects_bad_ticks(self):
         # checked on entry, so also at T = 1, where no myopic step runs
         with pytest.raises(ValidationError, match="enumeration_q ticks"):
-            enumeration_q(Static(0.6), LONG, 1, (-1.0, 1.0))
+            enumeration_q(Static(0.6), 1, (-1.0, 1.0))
 
     @pytest.mark.parametrize("ticks", [10.0, (10.0,), (10.0, -10.0, 1.0), None])
     def test_oracle_rejects_ticks_that_are_not_a_pair(self, ticks):
         with pytest.raises(ValidationError, match=r"enumeration_q ticks must be a \(u, d\) pair"):
-            enumeration_q(Static(0.6), LONG, 1, ticks)
+            enumeration_q(Static(0.6), 1, ticks)
 
     def test_checkers_are_deterministic(self):
         a = check_bellman().to_dict()
@@ -158,39 +158,69 @@ COUPON = DividendSpec(
 )
 
 
-class TestOracleWalks:
-    """The depth-first walks against the per-path replays they replaced:
-    the same operands in the same order, so bit-identical results."""
+BELIEFS = [Static(0.6), Mirror(0.7, Move.UP), Mirror(0.65, Move.DOWN), BetaBernoulli(2.5, 1.25)]
+MODELS = [MarketModel(u=2.0, d=-1.0, p_up=0.55), MarketModel(u=1.5, d=-0.5, p_up=0.3)]
 
-    @pytest.mark.parametrize(
-        "belief",
-        [
-            Static(0.6),
-            Mirror(0.7, Move.UP),
-            Mirror(0.65, Move.DOWN),
-            BetaBernoulli(2.5, 1.25),
-        ],
-        ids=repr,
-    )
+
+def reference_row(belief, horizon, ticks, action_set):
+    return [reference_enumeration_q(belief, a, horizon, ticks, action_set) for a in action_set]
+
+
+def same_floats(got, want):
+    return len(got) == len(want) and all(map(same_float, got, want))
+
+
+class TestOracleWalks:
+    """The depth-first walks against per-path replays of each horizon and
+    first action: the same operands in the same order, so bit-identical
+    results at every horizon along the one walk."""
+
+    @pytest.mark.parametrize("belief", BELIEFS, ids=repr)
     @pytest.mark.parametrize("ticks", [TICKS, (1.5, -0.5)])
     def test_q_walk_matches_per_path_replay(self, belief, ticks):
         for T in range(9):
             for action_set in (DEFAULT_ACTIONS, SIZED_ACTIONS):
-                for a in action_set:
-                    got = enumeration_q(belief, a, T, ticks, action_set)
-                    want = reference_enumeration_q(belief, a, T, ticks, action_set)
-                    assert same_float(got, want), (T, str(a), action_set, got, want)
+                got = enumeration_q(belief, T, ticks, action_set)[T]
+                want = reference_row(belief, T, ticks, action_set)
+                assert same_floats(got, want), (T, action_set, got, want)
 
-    @pytest.mark.parametrize(
-        "model",
-        [MarketModel(u=2.0, d=-1.0, p_up=0.55), MarketModel(u=1.5, d=-0.5, p_up=0.3)],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("belief", BELIEFS, ids=repr)
+    @pytest.mark.parametrize("ticks", [TICKS, (1.5, -0.5)])
+    def test_one_q_walk_matches_every_horizon_and_first_action(self, belief, ticks):
+        for action_set in (DEFAULT_ACTIONS, SIZED_ACTIONS):
+            qs = enumeration_q(belief, 8, ticks, action_set)
+            assert len(qs) == 9
+            for T, got in enumerate(qs):
+                want = reference_row(belief, T, ticks, action_set)
+                assert same_floats(got, want), (T, action_set, got, want)
+
+    @pytest.mark.parametrize("belief", BELIEFS, ids=repr)
+    def test_q_walk_prefixes_are_the_shorter_walks(self, belief):
+        for action_set in (DEFAULT_ACTIONS, SIZED_ACTIONS):
+            walks = [enumeration_q(belief, h, (1.5, -0.5), action_set) for h in range(9)]
+            for h, walk in enumerate(walks):
+                for T in range(h + 1):
+                    assert repr(walk[: T + 1]) == repr(walks[T]), (h, T, action_set)
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
     def test_dividend_walk_matches_per_path_replay(self, model):
         for T in range(13):
-            got = expected_dividend_by_enumeration(model, COUPON, T)
+            got = expected_dividend_by_enumeration(model, COUPON, T)[T]
             want = reference_dividend(model, COUPON, T)
             assert same_float(got, want), (T, got, want)
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_one_dividend_walk_matches_every_horizon(self, model):
+        got = expected_dividend_by_enumeration(model, COUPON, 12)
+        want = [reference_dividend(model, COUPON, T) for T in range(13)]
+        assert same_floats(got, want), (got, want)
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_dividend_walk_prefixes_are_the_shorter_walks(self, model):
+        walks = [expected_dividend_by_enumeration(model, COUPON, h) for h in range(13)]
+        for h, walk in enumerate(walks):
+            for T in range(h + 1):
+                assert repr(walk[: T + 1]) == repr(walks[T]), (h, T)
 
     @pytest.mark.parametrize("T", range(1, 9))
     def test_q_walk_steps_each_prefix_once(self, T):
@@ -201,7 +231,7 @@ class TestOracleWalks:
                 updates.append(observed)
                 return self
 
-        enumeration_q(CountingStatic(0.6), LONG, T, TICKS)
+        enumeration_q(CountingStatic(0.6), T, TICKS)
         assert len(updates) == 2 ** (T + 1) - 2
 
     @pytest.mark.parametrize("T", range(1, 13))
@@ -220,5 +250,5 @@ class TestOracleWalks:
     )
     def test_q_oracle_bounds_its_horizon(self, horizon, error):
         with pytest.raises(error, match="horizon") as info:
-            enumeration_q(Static(0.6), LONG, horizon, TICKS)
+            enumeration_q(Static(0.6), horizon, TICKS)
         assert type(info.value) is error
