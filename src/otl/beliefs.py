@@ -11,15 +11,13 @@ Three belief kinds are shipped:
 Beliefs are immutable values; ``update`` returns a new belief.
 
 ``lattice_of`` gives the beliefs reachable at each t of a horizon, of at
-most ``MAX_STAGE_STATES`` states: an exact ``Static``, ``Mirror`` or
-``BetaBernoulli`` builds it in closed form, every other belief (a subclass
-too, or beta counts that reach 2**53) by the forward closure over its own
-``update``.
+most ``MAX_STAGE_STATES`` states, in closed form. It takes only these three
+kinds, exact: a subclass, another ``Belief`` kind or beta counts that reach
+2**53 within the horizon raise ``ValidationError``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,7 +33,8 @@ MAX_STAGE_STATES = 1_000_000
 
 @dataclass(frozen=True)
 class Belief:
-    """Base class; use one of the concrete kinds below."""
+    """Base class of the three kinds below; not an extension point, as
+    `lattice_of` (so the solver) rejects a subclass or any other kind."""
 
     def predictive(self) -> float:
         """Probability that the next move is Up."""
@@ -163,10 +162,9 @@ class Lattice:
     `belief_id`s, [] for t outside 0..T. A kind answers them for t in 0..T
     in ``_state`` and ``_beliefs``; ``_ids`` maps `belief_id` over them unless
     the kind builds ids faster (`_BetaCounts` formats each count once).
-    `lattice_of` builds one, of at most MAX_STAGE_STATES states: the closed
-    forms `_LastMove` (Static, Mirror; one or two rows per layer) and
-    `_BetaCounts` (BetaBernoulli; t + 1 rows), or the closure `_Layers`,
-    which only subclasses, other kinds and saturated beta counts get.
+    `lattice_of` builds one of the two kinds, of at most MAX_STAGE_STATES
+    states: `_LastMove` (Static, Mirror; one or two rows per layer) or
+    `_BetaCounts` (BetaBernoulli; t + 1 rows).
     """
 
     def __init__(self, T: int, start: Sequence[int]):
@@ -193,58 +191,29 @@ class Lattice:
         return q_up.tolist(), up.tolist(), down.tolist()
 
 
-class _Layers(Lattice):
-    """One `{belief: state}` dict per layer, and the up and down child
-    states of every state of a layer t < T in two flat arrays."""
-
-    def __init__(self, states: list[dict], up: np.ndarray, down: np.ndarray):
-        self._states, self._up, self._down = states, up, down
-        super().__init__(len(states) - 1, [*itertools.accumulate(map(len, states), initial=0)])
-
-    def layer(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = slice(self.start[t], self.start[t + 1])
-        return np.array([b.predictive() for b in self._states[t]]), self._up[rows], self._down[rows]
-
-    def _state(self, t: int, belief: Belief) -> int | None:
-        return self._states[t].get(belief)
-
-    def _beliefs(self, t: int) -> list[Belief]:
-        return list(self._states[t])
-
-
 def lattice_of(b0: Belief, T: int) -> Lattice:
-    """The beliefs reachable from b0 at t = 0..T, of at most MAX_STAGE_STATES
-    states: a closed form for an exact `Static` or `Mirror` (one or two rows
-    per layer) and for an exact `BetaBernoulli` whose counts keep growing
-    by 1 (below 2**53), else the forward closure over b0's own `update`; a
-    subclass may update otherwise, so it always gets the closure."""
+    """The beliefs reachable from b0 at t = 0..T in closed form, of at most
+    MAX_STAGE_STATES states: `_LastMove` for an exact `Static` or `Mirror`,
+    `_BetaCounts` for an exact `BetaBernoulli`. Any other type, a subclass
+    too, and beta counts that stop growing by 1 within the horizon (at
+    2**53) raise ValidationError before any `update` is called."""
     _check_states(T + 1, T)  # every layer has at least one row
-    if type(b0) is Static or type(b0) is Mirror:
+    kind = type(b0)
+    if kind is Static or kind is Mirror:
         return _LastMove(b0, T)
-    if type(b0) is BetaBernoulli:
-        # the counts after 0..T updates, adding 1 in turn as `update` does
-        ones = np.ones(T)
-        counts = [np.add.accumulate(np.concatenate(([c], ones))) for c in (b0.alpha, b0.beta)]
-        if all((seq[1:] > seq[:-1]).all() for seq in counts):
-            return _BetaCounts(counts, T)
-    return _closure(b0, T)
-
-
-def _closure(b0: Belief, T: int) -> Lattice:
-    """The forward closure of b0 over `Belief.update`."""
-    states: list[dict[Belief, int]] = [{b0: 0}]
-    ups: list[int] = []
-    dns: list[int] = []
-    n_states = 1
-    for _ in range(T):
-        nxt: dict[Belief, int] = {}
-        for b in states[-1]:
-            ups.append(nxt.setdefault(b.update(Move.UP), n_states + len(nxt)))
-            dns.append(nxt.setdefault(b.update(Move.DOWN), n_states + len(nxt)))
-        states.append(nxt)
-        n_states += len(nxt)
-        _check_states(n_states, T)
-    return _Layers(states, np.array(ups, dtype=np.intp), np.array(dns, dtype=np.intp))
+    if kind is not BetaBernoulli:
+        raise ValidationError(
+            "belief must be an exact Static, Mirror or BetaBernoulli,"
+            f" got {kind.__module__}.{kind.__qualname__}"
+        )
+    # the counts after 0..T updates, adding 1 in turn as `update` does
+    counts = [np.add.accumulate(np.concatenate(([c], np.ones(T)))) for c in (b0.alpha, b0.beta)]
+    if not all((seq[1:] > seq[:-1]).all() for seq in counts):
+        raise ValidationError(
+            f"BetaBernoulli counts must stay below 2**53 over horizon {shown(T)},"
+            f" got ({b0.alpha!r}, {b0.beta!r})"
+        )
+    return _BetaCounts(counts, T)
 
 
 class _LastMove(Lattice):

@@ -157,9 +157,11 @@ class QTable:
 def solve_q(problem: DecisionProblem) -> QTable:
     """Solve the subjective Bellman recursion by backward induction.
 
-    Reachable beliefs at each t, as the initial belief's own `update`
-    reaches them, form its lattice (`beliefs.lattice_of`), of at most
-    `beliefs.MAX_STAGE_STATES` states; the belief transition is independent
+    The initial belief, an exact `Static`, `Mirror` or `BetaBernoulli`, and
+    the beliefs its updates reach at each t form its lattice
+    (`beliefs.lattice_of`), of at most `beliefs.MAX_STAGE_STATES` states;
+    any other type, and beta counts that stop growing by 1 within the
+    horizon, raise ValidationError. The belief transition is independent
     of the action (the market is exogenous), so the continuation value
     after a move is shared by every action. The lattice gives each state's
     up and down child states. The backward pass runs in Python floats, row

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .actions import DOWN, LONG, NEUTRAL, SHORT, UP, Action, Move, check_ticks
 from .beliefs import Belief, BetaBernoulli, Mirror, Static
+from .errors import ValidationError
 from .market import (
     DividendSpec,
     MarketModel,
@@ -92,10 +93,13 @@ def enumeration_q(
     in itertools.product order, Up first, add to qs[T][i], the Q-value of
     action_set[i] at T. Column i plays action_set[i] first, then the myopic
     argmax. No table, no backward pass: this shares nothing with the solver.
-    `ticks` is (u, d), finite with u > 0 > d; `horizon` in [0, MAX_ENUM_HORIZON]."""
+    `ticks` is (u, d), finite with u > 0 > d; `horizon` in [0, MAX_ENUM_HORIZON];
+    `action_set` non-empty."""
     u, d = check_ticks(ticks, "enumeration_q ticks")
     horizon = check_horizon(horizon)
     n = len(action_set)
+    if not n:
+        raise ValidationError("action_set must be non-empty")
     qs = [[0.0] * n for _ in range(horizon + 1)]
     first = [a.stake for a in action_set]
     # Down is pushed first, so Up pops first

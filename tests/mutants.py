@@ -148,8 +148,15 @@ MUTANTS = [
     (
         "beta closed form for a subclass too",
         "src/otl/beliefs.py",
-        "if type(b0) is BetaBernoulli:",
-        "if isinstance(b0, BetaBernoulli):",
+        "if kind is not BetaBernoulli:",
+        "if not issubclass(kind, BetaBernoulli):",
+        ["tests/test_beliefs.py", "tests/test_mdp.py", "tests/test_cli.py"],
+    ),
+    (
+        "saturated beta counts take the closed form",
+        "src/otl/beliefs.py",
+        "if not all((seq[1:] > seq[:-1]).all() for seq in counts):",
+        "if False:",
         ["tests/test_beliefs.py", "tests/test_mdp.py", "tests/test_cli.py"],
     ),
     (

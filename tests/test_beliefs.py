@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -15,12 +16,14 @@ from otl import (
     belief_id,
 )
 from otl import beliefs
-from otl.beliefs import _closure, lattice_of
+from otl.beliefs import lattice_of
+
+from closure import _closure
 
 
 class BetaSubclass(BetaBernoulli):
-    """A `BetaBernoulli` subclass that inherits `update`: `lattice_of` gives
-    it the closure all the same, as a subclass may update otherwise."""
+    """A `BetaBernoulli` subclass that inherits `update`: `lattice_of`
+    rejects it all the same, as a subclass may update otherwise."""
 
 
 class TestPredictive:
@@ -180,10 +183,8 @@ class TestInvariants:
 
 
 def assert_same_lattice(b0, T):
-    """b0's lattice (`lattice_of`) equals the generic forward closure, row
-    for row and bit for bit. An exact Static or Mirror and an exact beta
-    whose counts keep growing have a closed form; for every other belief
-    both are the closure, and this checks its ids and rows."""
+    """b0's lattice (`lattice_of`), a closed form, equals the generic
+    forward closure, row for row and bit for bit."""
     closed = lattice_of(b0, T)
     oracle = _closure(b0, T)
     assert list(closed.start) == list(oracle.start)
@@ -221,15 +222,32 @@ SHIPPED = [
     BetaBernoulli(2.7, 0.1),
     BetaBernoulli(3, 2),  # int counts: stored as floats, the closed form
     BetaBernoulli(1, 2.5),
-    BetaBernoulli(2.0**53 - 2, 1.0),  # alpha saturates within the horizon
-    BetaBernoulli(2.0**53, 2.0**53),  # both counts saturated from the start
-    BetaBernoulli(2**53, 1),
-    BetaSubclass(3, 2),  # a subclass: the closure
-    BetaSubclass(1.0, 1.0),
 ]
 
-# beta beliefs the closed form does not take
-FALLBACK = [
+# beliefs `lattice_of` rejects past the last horizon it takes each to
+# (-1: none): beta counts that reach 2**53, where adding 1 is lost, and
+# subclasses, which may update otherwise
+REJECTED = {
+    BetaBernoulli(2.0**53 - 2, 1.0): 2,  # alpha reaches 2**53 at t=2
+    BetaBernoulli(2.0**53, 2.0**53): 0,  # both counts saturated from the start
+    BetaBernoulli(2**53, 1): 0,
+    BetaSubclass(3, 2): -1,
+    BetaSubclass(1.0, 1.0): -1,
+}
+
+
+def lattice_or_closure(b0, T):
+    """`lattice_of(b0, T)`; past the last horizon it takes b0 to (REJECTED),
+    it must raise ValidationError, and the tests' closure stands in."""
+    if T <= REJECTED.get(b0, T):
+        return lattice_of(b0, T)
+    with pytest.raises(ValidationError):
+        lattice_of(b0, T)
+    return _closure(b0, T)
+
+
+# beliefs `lattice_of` rejects at T=10
+SATURATED_OR_SUBCLASS = [
     BetaBernoulli(2.0**53 - 2, 1.0),
     BetaBernoulli(2.0**53, 2.0**53),
     BetaBernoulli(2**53, 1),
@@ -239,27 +257,38 @@ FALLBACK = [
 
 
 class TestLattice:
-    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    @pytest.mark.parametrize("b0", [*SHIPPED, *REJECTED], ids=repr)
     def test_closed_form_matches_closure(self, b0):
         for T in range(41):
-            assert_same_lattice(b0, T)
+            if T <= REJECTED.get(b0, T):
+                assert_same_lattice(b0, T)
+            else:
+                with pytest.raises(ValidationError):
+                    lattice_of(b0, T)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(0, 40))
     @settings(max_examples=100, deadline=None)
     def test_beta_sweep(self, alpha, beta, T):
         assert_same_lattice(BetaBernoulli(alpha, beta), T)
 
-    @pytest.mark.parametrize("b0", FALLBACK, ids=repr)
-    def test_saturated_counts_or_subclasses_use_the_closure(self, b0):
-        closure = type(_closure(b0, 10))
-        assert type(lattice_of(b0, 10)) is closure
+    @pytest.mark.parametrize("b0", SATURATED_OR_SUBCLASS, ids=repr)
+    def test_saturated_counts_or_subclasses_are_rejected(self, b0):
+        if type(b0) is BetaBernoulli:
+            message = re.escape(
+                "BetaBernoulli counts must stay below 2**53 over horizon 10,"
+                f" got ({b0.alpha!r}, {b0.beta!r})"
+            )
+        else:
+            message = "BetaBernoulli, got test_beliefs.BetaSubclass$"
+        with pytest.raises(ValidationError, match=message):
+            lattice_of(b0, 10)
         for closed in (BetaBernoulli(1.0, 1.0), Static(0.6), Mirror(0.6, Move.DOWN)):
-            assert type(lattice_of(closed, 10)) is not closure
+            assert type(lattice_of(closed, 10)) in (beliefs._BetaCounts, beliefs._LastMove)
 
-    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    @pytest.mark.parametrize("b0", [*SHIPPED, *REJECTED], ids=repr)
     def test_rows_of_absent_beliefs_are_none(self, b0):
         T = 6
-        lattice = lattice_of(b0, T)
+        lattice = lattice_or_closure(b0, T)
         assert lattice.state(-1, b0) is None
         assert lattice.state(T + 1, b0) is None
         for other in (Static(0.45), Mirror(0.55, Move.UP), BetaBernoulli(0.7, 0.9)):
@@ -271,10 +300,10 @@ class TestLattice:
                 assert built.beliefs(t) == [] and built.ids(t) == []
                 assert built.state(t, b0) is None
 
-    @pytest.mark.parametrize("b0", SHIPPED, ids=repr)
+    @pytest.mark.parametrize("b0", [*SHIPPED, *REJECTED], ids=repr)
     def test_ids_are_the_belief_ids(self, b0):
         T = 9
-        lattice = lattice_of(b0, T)
+        lattice = lattice_or_closure(b0, T)
         # last layer first: a kind that caches its ids' parts must serve any order
         for t in range(T + 1, -2, -1):
             assert lattice.ids(t) == list(map(belief_id, lattice.beliefs(t)))
@@ -284,7 +313,7 @@ class TestLattice:
     )
     def test_beta_rows_reached_at_another_t_are_none(self, b0):
         T = 6
-        lattice = lattice_of(b0, T)
+        lattice = lattice_or_closure(b0, T)
         for t in range(T + 1):
             for s in range(T + 1):
                 for b in lattice.beliefs(s):
@@ -292,7 +321,7 @@ class TestLattice:
 
     def test_beta_rows_compare_counts_exactly(self):
         lattice = lattice_of(BetaBernoulli(2.0**53 - 2, 1.0), 2)  # alpha reaches 2**53 at t=2
-        assert type(lattice) is not type(_closure(BetaBernoulli(1.0, 1.0), 2))
+        assert type(lattice) is beliefs._BetaCounts
         # a count one float away names no row
         assert lattice.state(2, BetaBernoulli(2.0**53, 1.0)) == 3
         assert lattice.state(2, BetaBernoulli(2.0**53 + 2, 1.0)) is None
@@ -315,9 +344,10 @@ class TestLattice:
         ids=repr,
     )
     def test_size_bound(self, b0, T, max_states, monkeypatch):
-        # T is the longest horizon whose lattice fits in max_states
+        # T is the longest horizon whose lattice fits in max_states; the
+        # subclass's is the tests' closure
         monkeypatch.setattr(beliefs, "MAX_STAGE_STATES", max_states)
-        assert lattice_of(b0, T).start[-1] <= max_states
+        assert lattice_or_closure(b0, T).start[-1] <= max_states
         with pytest.raises(ResourceLimitError, match=f"exceeds {max_states} stage states"):
-            lattice_of(b0, T + 1)
+            lattice_or_closure(b0, T + 1)
 

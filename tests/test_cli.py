@@ -25,6 +25,7 @@ from otl.market import derive_path_seed, sample_moves
 from otl.mdp import DecisionProblem, solve_q
 from otl.policies import POLICY_KINDS, make_policy
 from otl.sim import replay
+from closure import solve_over_closure
 from test_beliefs import BetaSubclass
 
 BASE_CONFIG = """\
@@ -259,6 +260,20 @@ class TestSolveCommand:
         assert err == f"error: cannot read config {path}: line {line}: byte {byte} is not UTF-8\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon, code", [(2, EXIT_OK), (3, EXIT_CONFIG), (None, EXIT_CONFIG)])
+    def test_beta_counts_that_reach_2_53_exit_2(self, tmp_path, capsys, horizon, code):
+        # alpha reaches 2**53 at t=2, so a third +1 is lost; None keeps the
+        # default horizon, 5
+        text = "belief.kind = beta\nbelief.alpha = 9007199254740990\n"
+        path = tmp_path / "beta.cfg"
+        path.write_text(text if horizon is None else text + f"problem.horizon = {horizon}\n")
+        assert main(["solve", "--config", str(path)]) == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err == (
+                "error: BetaBernoulli counts must stay below 2**53 over horizon"
+                f" {horizon or 5}, got (9007199254740990.0, 1.0)\n"
+            )
+
     def test_config_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
         path = tmp_path / "bom.cfg"
         path.write_bytes(b"\xef\xbb\xbfmarket.u = 12\nproblem.horizon = 2\n")
@@ -300,7 +315,7 @@ class TestSolveCommand:
             DecisionProblem(200, (10.0, -10.0), BetaBernoulli(1.0, 1.0)),
             # int counts: stored as floats, the closed form
             DecisionProblem(30, (10.0, -10.0), BetaBernoulli(3, 2)),
-            # a subclass: the forward closure
+            # a subclass, solved over the tests' forward closure
             DecisionProblem(30, (10.0, -10.0), BetaSubclass(3, 2)),
             # sized actions on uneven ticks: the argmax is not always column 0
             DecisionProblem(
@@ -312,6 +327,7 @@ class TestSolveCommand:
     def test_export_matches_table_queries(self, tmp_path, capsys, monkeypatch, problem):
         # every stdout line and the whole CSV, built from the table's queries by
         # f-strings and csv.writer: per t, beliefs in belief_id order
+        solve_over_closure(monkeypatch, problem.initial_belief)
         table = solve_q(problem)
         monkeypatch.setattr(cli, "solve_q", lambda _: table)
         path = tmp_path / "any.cfg"

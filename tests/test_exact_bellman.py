@@ -15,6 +15,7 @@ import pytest
 from otl import LONG, NEUTRAL, SHORT, Action, BetaBernoulli, DecisionProblem, Mirror, Move, Static
 from otl import solve_q
 from otl.mdp import DEFAULT_ACTIONS
+from closure import solve_over_closure
 from test_beliefs import BetaSubclass
 
 # solve_q's Q_1(s_0, a) lies within ULPS_PER_STEP * T ulps of max(|Q|, 1),
@@ -28,7 +29,7 @@ BELIEFS = (
     Mirror(0.6, Move.UP),
     BetaBernoulli(3.0, 2.0),
     BetaBernoulli(0.5, 2.5),
-    BetaSubclass(3, 2),  # a subclass, int counts stored as floats: the closure's lattice
+    BetaSubclass(3, 2),  # a subclass, int counts stored as floats: solved over the closure
 )
 TICKS = ((10.0, -10.0), (1.5, -0.5), (0.1, -0.3))
 ACTION_SETS = (DEFAULT_ACTIONS, (NEUTRAL, LONG, SHORT, Action(2), Action(-3)))
@@ -98,7 +99,8 @@ GRID = [
 
 
 @pytest.mark.parametrize("problem", GRID, ids=name)
-def test_solver_is_within_the_bound_of_the_exact_recursion(problem):
+def test_solver_is_within_the_bound_of_the_exact_recursion(problem, monkeypatch):
+    solve_over_closure(monkeypatch, problem.initial_belief)
     assert_within_bound(problem)
 
 

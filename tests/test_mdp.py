@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from decimal import Decimal
@@ -13,6 +14,7 @@ from otl import (
     NEUTRAL,
     SHORT,
     Action,
+    Belief,
     BetaBernoulli,
     DecisionProblem,
     Mirror,
@@ -21,12 +23,14 @@ from otl import (
     Static,
     UnreachableStateError,
     ValidationError,
+    make_policy,
     solve_q,
 )
 from otl import beliefs, mdp
-from otl.beliefs import _Layers
 from otl.mdp import DEFAULT_ACTIONS
 from otl.verify import BELIEF_GRID, ORACLE_TOL, enumeration_q
+
+from closure import _Layers, solve_over_closure
 
 TICKS = (10.0, -10.0)
 
@@ -209,6 +213,47 @@ class _Stubborn(Mirror):
         return self
 
 
+class _Coin(Belief):
+    """A `Belief` kind otl does not ship."""
+
+    def predictive(self):
+        return 0.5
+
+    def update(self, observed):
+        return self
+
+
+def _bellman(prob):
+    return make_policy("bellman", prob)
+
+
+class TestRejectedBeliefs:
+    """The solver takes only the three shipped kinds, exact: any other type,
+    a subclass too, is rejected before its `update` is called, and so are
+    beta counts once adding 1 is lost."""
+
+    @pytest.mark.parametrize(
+        "b0", [_Drifting(0.6), _Stubborn(0.7, Move.UP), _Heavy(3.0, 2.0), _Coin()], ids=repr
+    )
+    @pytest.mark.parametrize("solve", [solve_q, _bellman], ids=["solve_q", "bellman"])
+    def test_other_types_are_rejected(self, b0, solve, monkeypatch):
+        def update(self, observed):
+            raise AssertionError("update called")
+
+        monkeypatch.setattr(type(b0), "update", update)
+        name = f"test_mdp.{type(b0).__qualname__}"
+        with pytest.raises(ValidationError, match=f"BetaBernoulli, got {name}$"):
+            solve(problem(3, b0))
+
+    @pytest.mark.parametrize("solve", [solve_q, _bellman], ids=["solve_q", "bellman"])
+    def test_beta_counts_are_rejected_once_they_reach_2_53(self, solve):
+        b0 = BetaBernoulli(2.0**53 - 2, 1.0)  # alpha reaches 2**53 at t=2
+        solve(problem(2, b0))
+        message = "below 2**53 over horizon 3, got (9007199254740990.0, 1.0)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            solve(problem(3, b0))
+
+
 class TestInvariants:
     @pytest.mark.parametrize("belief", BELIEFS, ids=str)
     @pytest.mark.parametrize("T", range(7))
@@ -222,9 +267,10 @@ class TestInvariants:
             assert table.q(0, belief, a) == pytest.approx(q, abs=1e-9)
 
     @pytest.mark.parametrize("T", range(1, 7))
-    def test_beta_subclass_solves_over_its_own_update(self, T):
+    def test_beta_subclass_solves_over_its_own_update(self, T, monkeypatch):
         # float counts, yet the +1 closed form is not this belief's lattice
         b0 = _Heavy(3.0, 2.0)
+        solve_over_closure(monkeypatch, b0)
         prob = problem(T, b0)
         table = solve_q(prob)
         assert type(table.lattice) is _Layers
@@ -234,8 +280,9 @@ class TestInvariants:
 
     @pytest.mark.parametrize("b0", [_Drifting(0.6), _Stubborn(0.7, Move.UP)], ids=repr)
     @pytest.mark.parametrize("T", range(1, 7))
-    def test_static_or_mirror_subclass_solves_over_its_own_update(self, b0, T):
+    def test_static_or_mirror_subclass_solves_over_its_own_update(self, b0, T, monkeypatch):
         # the closed form of Static or Mirror is not this belief's lattice
+        solve_over_closure(monkeypatch, b0)
         prob = problem(T, b0)
         table = solve_q(prob)
         assert type(table.lattice) is _Layers
@@ -533,11 +580,12 @@ class TestOccupancyIdentity:
             (BetaBernoulli(1.0, 1.0), 1000),
             (BetaBernoulli(0.5, 0.5), 300),
             (BetaBernoulli(3, 2), 40),  # int counts: stored as floats, the closed form
-            (_Heavy(3, 2), 40),  # a subclass: the closure
+            (_Heavy(3, 2), 40),  # a subclass, solved over the tests' closure
         ],
         ids=repr,
     )
-    def test_value_is_the_occupancy_sum(self, b0, T, actions):
+    def test_value_is_the_occupancy_sum(self, b0, T, actions, monkeypatch):
+        solve_over_closure(monkeypatch, b0)
         assert_occupancy_identity(b0, T, action_set=actions)
 
 

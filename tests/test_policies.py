@@ -24,11 +24,12 @@ from otl import (
 )
 from otl.policies import POLICY_KINDS, bellman
 from otl.sim import replay
+from closure import solve_over_closure
 from test_beliefs import BetaSubclass
 
 TICKS = (10.0, -10.0)
 # one belief of each lattice kind: the closed forms (int beta counts are
-# stored as floats and take one too) and the closure (a subclass)
+# stored as floats and take one too) and the tests' closure (a subclass)
 BELLMAN_BELIEFS = [
     BetaBernoulli(1.0, 1.0),
     BetaBernoulli(3, 2),
@@ -121,6 +122,10 @@ class TestBellmanOptimal:
 class TestBellmanAutomaton:
     """Bellman's `up` and `down` hold the lattice's child states as they are,
     one int64 array each, in place of a Python int per state."""
+
+    @pytest.fixture(autouse=True)
+    def _subclass_over_closure(self, belief, monkeypatch):
+        solve_over_closure(monkeypatch, belief)
 
     def test_holds_the_lattice_children(self, belief):
         table = solve_q(problem(horizon=6, belief=belief))

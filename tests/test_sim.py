@@ -30,10 +30,11 @@ from otl import (
     summarize,
 )
 from otl import sim
-from otl.beliefs import _BetaCounts, _LastMove, _Layers
+from otl.beliefs import _BetaCounts, _LastMove
 from otl.errors import ResourceLimitError
 from otl.policies import POLICY_KINDS
 from otl.sim import MAX_PATH_STEPS, SimConfig, WealthPath, replay
+from closure import _Layers, solve_over_closure
 from test_beliefs import BetaSubclass
 
 TICKS = (10.0, -10.0)
@@ -327,12 +328,13 @@ class TestRowWalk:
             (Mirror(0.6, Move.UP), _LastMove),  # and two after t = 0
             (BetaBernoulli(3, 2), _BetaCounts),  # int counts: stored as floats, the closed form
             (BetaBernoulli(3.0, 2.0), _BetaCounts),  # float counts: the closed form
-            (BetaSubclass(3.0, 2.0), _Layers),  # a subclass: the closure
+            (BetaSubclass(3.0, 2.0), _Layers),  # a subclass: the tests' closure
         ],
         ids=["static", "mirror", "beta-int", "beta-float", "beta-subclass"],
     )
     @pytest.mark.parametrize("T", range(9))
-    def test_rows_follow_update_on_every_path(self, belief0, lattice_kind, T):
+    def test_rows_follow_update_on_every_path(self, belief0, lattice_kind, T, monkeypatch):
+        solve_over_closure(monkeypatch, belief0)
         m = market(0.5)
         table = solve_q(problem(T, belief0))
         assert type(table.lattice) is lattice_kind

@@ -145,6 +145,13 @@ class TestCheckers:
         with pytest.raises(ValidationError, match=r"enumeration_q ticks must be a \(u, d\) pair"):
             enumeration_q(Static(0.6), 1, ticks)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    def test_oracle_rejects_an_empty_action_set(self, horizon):
+        # as DecisionProblem does: at horizon 2 max() raised a bare
+        # ValueError, and at horizon <= 1 the rows came back empty
+        with pytest.raises(ValidationError, match="^action_set must be non-empty$"):
+            enumeration_q(Static(0.6), horizon, TICKS, ())
+
     def test_checkers_are_deterministic(self):
         a = check_bellman().to_dict()
         b = check_bellman().to_dict()
